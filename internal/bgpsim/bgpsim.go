@@ -58,6 +58,15 @@ type Network struct {
 	// dense indexing for the route computation
 	asns []asrel.ASN
 	idx  map[asrel.ASN]int
+	// adjOff/adjTo/adjRel snapshot the relationship graph in
+	// compressed-row form over the dense indices: the neighbours of AS
+	// i are adjTo[adjOff[i]:adjOff[i+1]] (in Graph.Neighbors order, so
+	// tie-breaks match the graph walk) with adjRel holding each one's
+	// relationship relative to i. rebuild takes the snapshot, so it
+	// lives exactly as long as the route cache it feeds.
+	adjOff []int32
+	adjTo  []int32
+	adjRel []asrel.Rel
 
 	prefixTable *lpm.Table[asrel.ASN]
 	routeCache  map[asrel.ASN]*destRoutes
@@ -170,6 +179,7 @@ func (n *Network) rebuild() {
 	for i, a := range n.asns {
 		n.idx[a] = i
 	}
+	n.snapshotAdjacency()
 	n.prefixTable = lpm.New[asrel.ASN]()
 	for a, ps := range n.origins {
 		for _, p := range ps {
@@ -178,6 +188,22 @@ func (n *Network) rebuild() {
 	}
 	n.routeCache = make(map[asrel.ASN]*destRoutes)
 	n.dirty = false
+}
+
+// snapshotAdjacency fills adjOff/adjTo/adjRel from the graph. ASes
+// known only through their originations have no neighbours.
+func (n *Network) snapshotAdjacency() {
+	v := len(n.asns)
+	n.adjOff = make([]int32, v+1)
+	n.adjTo, n.adjRel = nil, nil
+	for i, a := range n.asns {
+		n.adjOff[i] = int32(len(n.adjTo))
+		for _, b := range n.graph.Neighbors(a) {
+			n.adjTo = append(n.adjTo, int32(n.idx[b]))
+			n.adjRel = append(n.adjRel, n.graph.Rel(a, b))
+		}
+	}
+	n.adjOff[v] = int32(len(n.adjTo))
 }
 
 // OriginOf maps an address to the AS originating its longest covering
@@ -303,21 +329,21 @@ func (n *Network) routesTo(dst asrel.ASN) *destRoutes {
 	custDist := n.scratch.custDist
 	custHop := n.scratch.custHop
 	custDist[di] = 0
+	adjOff, adjTo, adjRel := n.adjOff, n.adjTo, n.adjRel
 	for qi := 0; qi < len(queue); qi++ {
 		x := queue[qi]
-		ax := n.asns[x]
-		for _, b := range n.graph.Neighbors(ax) {
-			r := n.graph.Rel(ax, b)
+		for e := adjOff[x]; e < adjOff[x+1]; e++ {
+			r := adjRel[e]
 			// Route at x is exported upward to x's providers and
 			// shared with siblings.
 			if r != asrel.Provider && r != asrel.Sibling {
 				continue
 			}
-			bi := n.idx[b]
+			bi := adjTo[e]
 			if custDist[bi] > custDist[x]+1 {
 				custDist[bi] = custDist[x] + 1
 				custHop[bi] = int32(x)
-				queue = append(queue, bi)
+				queue = append(queue, int(bi))
 			}
 		}
 	}
@@ -335,17 +361,16 @@ func (n *Network) routesTo(dst asrel.ASN) *destRoutes {
 		if dr.rtype[i] == RouteSelf || dr.rtype[i] == RouteCustomer {
 			continue
 		}
-		ai := n.asns[i]
 		best := int32(1 << 30)
 		var hop int32 = -1
-		for _, b := range n.graph.Neighbors(ai) {
-			if n.graph.Rel(ai, b) != asrel.Peer {
+		for e := adjOff[i]; e < adjOff[i+1]; e++ {
+			if adjRel[e] != asrel.Peer {
 				continue
 			}
-			bi := n.idx[b]
+			bi := adjTo[e]
 			if custDist[bi] < best {
 				best = custDist[bi]
-				hop = int32(bi)
+				hop = bi
 			}
 		}
 		if hop >= 0 {
@@ -380,15 +405,14 @@ func (n *Network) routesTo(dst asrel.ASN) *destRoutes {
 			if provDist[x] < int32(d) {
 				continue
 			}
-			ax := n.asns[x]
-			for _, b := range n.graph.Neighbors(ax) {
-				r := n.graph.Rel(ax, b)
+			for e := adjOff[x]; e < adjOff[x+1]; e++ {
+				r := adjRel[e]
 				// Any route is exported down to customers; siblings
 				// also receive everything.
 				if r != asrel.Customer && r != asrel.Sibling {
 					continue
 				}
-				bi := n.idx[b]
+				bi := adjTo[e]
 				if dr.rtype[bi] != RouteNone {
 					continue // has a better class of route already
 				}
@@ -396,7 +420,7 @@ func (n *Network) routesTo(dst asrel.ASN) *destRoutes {
 					provDist[bi] = int32(d) + 1
 					provHop[bi] = int32(x)
 					if d+1 <= maxD {
-						buckets[d+1] = append(buckets[d+1], bi)
+						buckets[d+1] = append(buckets[d+1], int(bi))
 					}
 				}
 			}

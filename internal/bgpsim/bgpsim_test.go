@@ -325,24 +325,3 @@ func assertValleyFree(t *testing.T, g *asrel.Graph, path []asrel.ASN) {
 		}
 	}
 }
-
-func BenchmarkRoutesTo(b *testing.B) {
-	g := asrel.NewGraph()
-	for i := 0; i < 3; i++ {
-		for j := i + 1; j < 3; j++ {
-			g.SetPeer(asrel.ASN(1+i), asrel.ASN(1+j))
-		}
-	}
-	for i := 0; i < 50; i++ {
-		g.SetProvider(asrel.ASN(10+i), asrel.ASN(1+i%3))
-	}
-	for i := 0; i < 2000; i++ {
-		g.SetProvider(asrel.ASN(1000+i), asrel.ASN(10+i%50))
-	}
-	n := New(g)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		n.routeCache = make(map[asrel.ASN]*destRoutes)
-		n.routesTo(asrel.ASN(1000 + i%2000))
-	}
-}

@@ -69,22 +69,37 @@ func (nw *Network) resolveStep(n *Node, dst netaddr.Addr) (hop, bool) {
 }
 
 // connectedStep handles destinations on subnets n is directly attached
-// to.
+// to. It answers exactly as a scan of n.Ifaces in order would, taking
+// the first interface that either faces dst across a point-to-point
+// link or sits on a LAN whose prefix holds dst (an on-LAN address with
+// no owner is dead), but finds both candidates by lookup: dst's owning
+// interface names the only link that can match, and n's few LAN ports
+// are checked directly. When both match, the one earlier in n.Ifaces
+// wins.
 func (nw *Network) connectedStep(n *Node, dst netaddr.Addr) (hop, bool) {
-	for _, id := range n.Ifaces {
+	var p2p *Iface
+	if id, ok := nw.byAddr[dst]; ok {
+		if l := nw.ifaces[id].link; l != nil {
+			if near := nw.ifaces[l.other(id)]; near.Node == n.ID {
+				p2p = near
+			}
+		}
+	}
+	for _, id := range n.lanIfaces {
 		ifc := nw.ifaces[id]
-		if l := ifc.link; l != nil {
-			other := nw.ifaces[l.other(ifc.ID)]
-			if other.Addr == dst {
-				return nw.linkStep(ifc)
-			}
+		if !ifc.lan.Prefix.Contains(dst) {
+			continue
 		}
-		if ifc.lan != nil && ifc.lan.Prefix.Contains(dst) {
-			if slot, ok := ifc.lan.byAddr[dst]; ok {
-				return nw.lanStep(ifc, slot)
-			}
-			return hop{}, false // on-LAN address with no owner: dead
+		if p2p != nil && p2p.pos < ifc.pos {
+			break
 		}
+		if slot, ok := ifc.lan.byAddr[dst]; ok {
+			return nw.lanStep(ifc, slot)
+		}
+		return hop{}, false // on-LAN address with no owner: dead
+	}
+	if p2p != nil {
+		return nw.linkStep(p2p)
 	}
 	return hop{}, false
 }

@@ -56,6 +56,11 @@ type Node struct {
 	// worker count.
 	ICMPDown func(simclock.Time) bool
 
+	// lanIfaces lists the node's LAN ports in Ifaces order, so
+	// connectedStep checks fabric prefixes without scanning every
+	// interface.
+	lanIfaces []IfaceID
+
 	fib        map[asrel.ASN]fibEntry
 	fibVersion int64
 	ipid       uint16
@@ -87,6 +92,8 @@ type Iface struct {
 	lan  *LAN
 	// lanSlot is this interface's attachment index within lan.
 	lanSlot int
+	// pos is this interface's index within its node's Ifaces.
+	pos int32
 }
 
 // Link is a point-to-point link: two interfaces and a pipe per
@@ -190,7 +197,7 @@ func (nw *Network) addIface(n *Node, addr netaddr.Addr, name string) *Iface {
 	if _, dup := nw.byAddr[addr]; dup {
 		panic(fmt.Sprintf("netsim: duplicate interface address %v", addr))
 	}
-	ifc := &Iface{ID: IfaceID(len(nw.ifaces)), Node: n.ID, Addr: addr, Name: name}
+	ifc := &Iface{ID: IfaceID(len(nw.ifaces)), Node: n.ID, Addr: addr, Name: name, pos: int32(len(n.Ifaces))}
 	nw.ifaces = append(nw.ifaces, ifc)
 	n.Ifaces = append(n.Ifaces, ifc.ID)
 	nw.byAddr[addr] = ifc.ID
@@ -323,6 +330,7 @@ func (nw *Network) AttachToLAN(n *Node, lan *LAN, spec AttachSpec) *Iface {
 	ifc.lanSlot = len(lan.Attachments)
 	lan.Attachments = append(lan.Attachments, Attachment{Iface: ifc.ID, ToFabric: to, FromFabric: from})
 	lan.byAddr[spec.Addr] = ifc.lanSlot
+	n.lanIfaces = append(n.lanIfaces, ifc.ID)
 	nw.bump()
 	return ifc
 }

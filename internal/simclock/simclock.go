@@ -63,11 +63,34 @@ func (t Time) Truncate(d Duration) Time {
 	if d <= 0 {
 		return t
 	}
-	return t - t%Time(d)
+	_, r := floorDivMod(t, Time(d))
+	return t - r
+}
+
+// day is the length of a calendar day; UTC has no DST and Go's clock
+// no leap seconds, so every day is exactly this long.
+const day = Time(24 * time.Hour)
+
+// epochWeekday is Epoch's weekday (2016-02-22 was a Monday).
+const epochWeekday = time.Monday
+
+// floorDivMod returns the floored quotient and the remainder in
+// [0, d) of t/d, for d > 0: it rounds toward the past on both sides of
+// Epoch, where Go's / and % round toward Epoch itself.
+func floorDivMod(t, d Time) (q, r Time) {
+	q, r = t/d, t%d
+	if r < 0 {
+		q--
+		r += d
+	}
+	return q, r
 }
 
 // DayOfWeek returns the weekday of the virtual instant.
-func (t Time) DayOfWeek() time.Weekday { return t.Wall().Weekday() }
+func (t Time) DayOfWeek() time.Weekday {
+	_, wd := floorDivMod(Time(t.Day())+Time(epochWeekday), 7)
+	return time.Weekday(wd)
+}
 
 // IsWeekend reports whether the instant falls on Saturday or Sunday.
 func (t Time) IsWeekend() bool {
@@ -78,15 +101,19 @@ func (t Time) IsWeekend() bool {
 // SecondOfDay returns the number of seconds elapsed since local (UTC)
 // midnight of the instant's day.
 func (t Time) SecondOfDay() int {
-	w := t.Wall()
-	return w.Hour()*3600 + w.Minute()*60 + w.Second()
+	_, r := floorDivMod(t, day)
+	return int(r / Time(time.Second))
 }
 
 // HourOfDay returns the fractional hour of day in [0, 24).
 func (t Time) HourOfDay() float64 { return float64(t.SecondOfDay()) / 3600 }
 
-// Day returns the number of whole days elapsed since Epoch.
-func (t Time) Day() int { return int(time.Duration(t) / (24 * time.Hour)) }
+// Day returns the number of the instant's day counted from Epoch's:
+// 0 on the first campaign day, -1 on the day before it.
+func (t Time) Day() int {
+	q, _ := floorDivMod(t, day)
+	return int(q)
+}
 
 // String formats the instant as a compact UTC timestamp.
 func (t Time) String() string { return t.Wall().Format("2006-01-02 15:04:05") }

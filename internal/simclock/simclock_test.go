@@ -1,6 +1,7 @@
 package simclock
 
 import (
+	"math/rand"
 	"testing"
 	"time"
 )
@@ -234,4 +235,60 @@ func TestIntervalStepsPanicsOnBadStep(t *testing.T) {
 		}
 	}()
 	Interval{Start: 0, End: 10}.Steps(0, func(Time) {})
+}
+
+// TestCalendarMatchesTime checks the integer calendar against
+// time.Time on random instants within six years either side of Epoch,
+// and on the edges where rounding direction shows: around midnights,
+// week boundaries and 2016-02-29, before and after Epoch.
+func TestCalendarMatchesTime(t *testing.T) {
+	if Epoch.Weekday() != epochWeekday {
+		t.Fatalf("Epoch is a %v, not a %v", Epoch.Weekday(), epochWeekday)
+	}
+	var instants []Time
+	rng := rand.New(rand.NewSource(1))
+	const span = int64(6 * 366 * 24 * time.Hour)
+	for i := 0; i < 20000; i++ {
+		instants = append(instants, Time(rng.Int63n(2*span)-span))
+	}
+	var edges []Time
+	for d := -15; d <= 15; d++ {
+		edges = append(edges, Time(0).Add(time.Duration(d)*24*time.Hour))
+	}
+	for _, y := range []int{2012, 2015, 2016, 2020} {
+		edges = append(edges, Date(y, time.February, 29), Date(y, time.March, 1))
+	}
+	for _, e := range edges {
+		for _, off := range []time.Duration{-time.Second, -1, 0, 1, time.Second, 12 * time.Hour} {
+			instants = append(instants, e.Add(off))
+		}
+	}
+
+	truncs := []Duration{time.Second, time.Minute, 5 * time.Minute, time.Hour, 6 * time.Hour, 24 * time.Hour, 7 * 24 * time.Hour}
+	for _, tm := range instants {
+		w := tm.Wall()
+		if got, want := tm.SecondOfDay(), w.Hour()*3600+w.Minute()*60+w.Second(); got != want {
+			t.Fatalf("%v (%d): SecondOfDay = %d, want %d", w, tm, got, want)
+		}
+		if got, want := tm.DayOfWeek(), w.Weekday(); got != want {
+			t.Fatalf("%v (%d): DayOfWeek = %v, want %v", w, tm, got, want)
+		}
+		midnight := time.Date(w.Year(), w.Month(), w.Day(), 0, 0, 0, 0, time.UTC)
+		if got, want := tm.Day(), int(midnight.Sub(Epoch)/(24*time.Hour)); got != want {
+			t.Fatalf("%v (%d): Day = %d, want %d", w, tm, got, want)
+		}
+		// Epoch is a whole number of weeks after Go's zero time, so
+		// for steps dividing a week both truncations agree.
+		for _, d := range truncs {
+			if got, want := tm.Truncate(d), At(w.Truncate(d)); got != want {
+				t.Fatalf("%v (%d): Truncate(%v) = %d, want %d", w, tm, d, got, want)
+			}
+		}
+		for _, d := range []Duration{7 * time.Second, 13 * time.Minute} {
+			got := tm.Truncate(d)
+			if got > tm || tm-got >= Time(d) || got%Time(d) != 0 {
+				t.Fatalf("%d: Truncate(%v) = %d is not the multiple at or below", tm, d, got)
+			}
+		}
+	}
 }

@@ -198,3 +198,19 @@ func TestHashUnitDistribution(t *testing.T) {
 		t.Fatalf("hashUnit mean = %v, want ~0.5", mean)
 	}
 }
+
+// BenchmarkDiurnalBps evaluates a member-port load shaped like the
+// generated worlds' (weekend modulation, day jitter and minute noise
+// all on) at the fluid queue's one-minute integration steps, walking
+// a week from the continent campaign's first day.
+func BenchmarkDiurnalBps(b *testing.B) {
+	d := Diurnal{BaseBps: 0.3e9, PeakBps: 1.05e9, PeakHour: 15, Width: 2.5,
+		WeekendFactor: 0.7, DayJitterFrac: 0.1, NoiseFrac: 0.06, Seed: 0x9D}
+	start := simclock.Date(2016, time.July, 20)
+	const week = 7 * 24 * 60
+	for i := 0; i < b.N; i++ {
+		bpsSink = d.Bps(start.Add(time.Duration(i%week) * time.Minute))
+	}
+}
+
+var bpsSink float64
