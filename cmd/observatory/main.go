@@ -5,24 +5,11 @@
 //
 //	observatory -out ./obs-run -days 90 -scale 0.25
 //
-// -scale ≤ 1 scales the authored paper world's populations (existing
-// invocations are unchanged); -scale > 1 generates a continent-scale
-// world (internal/worldgen) at that multiple of the paper's size,
-// seeded by -gen-seed. -shards bounds per-shard series memory with
-// one shared compression arena per shard; results are bit-identical
-// for any -shards / -workers / -batch.
-//
-// -budget F (F > 0) installs the probe-budget scheduler so the
-// campaign sends at most F of the full-rate probes (adaptive per-link
-// rates; results bit-identical per (-budget, -budget-seed) for any
-// -workers / -batch); the report gains a probe-spend line. F of 1 (or
-// above, clamped) runs the scheduler at full spend, probe-count parity
-// with an unscheduled run.
-//
-// -checkpoint-dir DIR snapshots the campaign's measurement state into
-// DIR every -checkpoint-every of virtual time at batch barriers;
-// -resume continues from the newest valid checkpoint there,
-// bit-identical to an uninterrupted run.
+// The campaign flags (-days, -scale, -faults, -budget,
+// -checkpoint-dir, …) are shared with cmd/repro; `observatory -h`
+// lists them, and the afrixp.CampaignConfig field docs describe what
+// each one does. With -faults the report gains per-VP uptime and
+// sample yield; with -budget, a probe-spend line.
 //
 // A long run can be watched live: -metrics-addr serves the campaign
 // telemetry snapshot at /metrics (and expvar at /debug/vars) while
@@ -47,7 +34,6 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
-	"runtime"
 	"time"
 
 	"afrixp"
@@ -70,29 +56,16 @@ func main() {
 }
 
 func run() error {
+	var cfg afrixp.CampaignConfig
+	cfg.RegisterFlags(flag.CommandLine)
 	var (
 		out           = flag.String("out", "observatory-out", "output directory")
-		days          = flag.Int("days", 0, "campaign length in days (0 = full paper period)")
-		scale         = flag.Float64("scale", 1.0, "world scale: ≤1 scales the authored paper world's populations; >1 generates a continent-scale world (see -gen-seed)")
-		genSeed       = flag.Uint64("gen-seed", 0, "continent-scale generator seed (only with -scale > 1; 0 = default)")
-		shards        = flag.Int("shards", 0, "partition VPs into this many memory shards, one shared series arena each (0/1 = private per-VP arenas; results are identical for any value)")
-		seed          = flag.Uint64("seed", 0, "world seed")
-		noLoss        = flag.Bool("no-loss", false, "skip loss campaigns")
-		workers       = flag.Int("workers", runtime.GOMAXPROCS(0), "probing/analysis worker goroutines (results are identical for any value)")
-		batch         = flag.Int("batch", 0, "max probing steps per worker dispatch (0 = default 1024; results are identical for any value)")
-		doFaults      = flag.Bool("faults", false, "inject the deterministic fault plan and report per-VP uptime/sample yield")
-		faultSeed     = flag.Uint64("fault-seed", 0, "extra seed for the fault plan (only with -faults)")
-		budgetFrac    = flag.Float64("budget", 0, "probe budget as a fraction of full rate (0 = no scheduler; ≥1 = scheduler at full spend; results identical per (budget, budget-seed) for any -workers/-batch)")
-		budgetSeed    = flag.Uint64("budget-seed", 0, "extra seed for the probe-budget schedule (only with -budget)")
 		cpuProf       = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 		memProf       = flag.String("memprofile", "", "write a heap profile to this file at exit")
 		metricsOut    = flag.String("metrics", "", "write a campaign telemetry snapshot (JSON) to this file at exit")
 		metricsAddr   = flag.String("metrics-addr", "", "serve live telemetry at http://ADDR/metrics during the run")
 		metricsLinger = flag.Duration("metrics-linger", 0, "keep the -metrics-addr endpoint up this long after the run completes")
 		noLive        = flag.Bool("no-live", false, "do not mount the streaming observatory API (/links, /alerts, /stream) on -metrics-addr")
-		ckptDir       = flag.String("checkpoint-dir", "", "snapshot the campaign's measurement state into this directory at batch barriers")
-		ckptEvery     = flag.Duration("checkpoint-every", 0, "virtual-time cadence between checkpoints (0 = default 24h; only with -checkpoint-dir)")
-		doResume      = flag.Bool("resume", false, "resume from the newest valid checkpoint in -checkpoint-dir (bit-identical to an uninterrupted run)")
 	)
 	flag.Parse()
 
@@ -162,14 +135,8 @@ func run() error {
 		return fmt.Errorf("mkdir: %w", err)
 	}
 	start := time.Now()
-	c := afrixp.RunCampaign(afrixp.CampaignConfig{
-		Seed: *seed, Scale: *scale, GenSeed: *genSeed, Days: *days,
-		DisableLoss: *noLoss, Workers: *workers, BatchSteps: *batch, Shards: *shards,
-		Faults: *doFaults, FaultSeed: *faultSeed,
-		Budget: *budgetFrac, BudgetSeed: *budgetSeed,
-		CheckpointDir: *ckptDir, CheckpointEvery: *ckptEvery, Resume: *doResume,
-		Progress: os.Stderr, Telemetry: tele, Observatory: live,
-	})
+	cfg.Progress, cfg.Telemetry, cfg.Observatory = os.Stderr, tele, live
+	c := afrixp.RunCampaign(cfg)
 	fmt.Fprintf(os.Stderr, "campaign finished in %v\n", time.Since(start).Round(time.Second))
 
 	// Reports.
@@ -191,7 +158,7 @@ func run() error {
 	fmt.Fprintf(rf, "overall congested fraction: %.1f%% (paper: 2.2%%)\n", 100*frac)
 	fmt.Fprintf(rf, "bdrmap mean coverage: %.1f%% (paper: 96.2%%)\n",
 		100*afrixp.BdrmapAccuracy(c))
-	if *doFaults {
+	if cfg.Faults {
 		fmt.Fprintf(rf, "\nfault plan (%d episodes): per-VP uptime and sample yield\n",
 			len(c.Faults.Faults))
 		for _, y := range c.Yields() {
@@ -199,14 +166,10 @@ func run() error {
 				y.VP, 100*y.Uptime, 100*y.SampleYield, y.Rounds, y.Missed, y.Skipped, y.Links)
 		}
 	}
-	if *budgetFrac > 0 {
-		var rounds, skipped int
-		for _, y := range c.Yields() {
-			rounds += y.Rounds
-			skipped += y.Skipped
-		}
+	if cfg.Budget > 0 {
+		rounds, skipped := c.ProbeSpend()
 		fmt.Fprintf(rf, "probe budget %.0f%%: %d rounds sent, %d skipped (%.1f%% of schedule)\n",
-			100**budgetFrac, rounds, skipped,
+			100*cfg.Budget, rounds, skipped,
 			100*float64(rounds)/float64(rounds+skipped))
 	}
 	if live != nil {

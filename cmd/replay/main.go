@@ -14,9 +14,9 @@ import (
 	"sort"
 	"time"
 
+	"afrixp"
 	"afrixp/internal/analysis"
 	"afrixp/internal/report"
-	"afrixp/internal/simclock"
 	"afrixp/internal/warts"
 )
 
@@ -26,7 +26,6 @@ func main() {
 		days     = flag.Int("days", 0, "campaign length in days (0 = the paper's full period)")
 		startOff = flag.Int("start-offset", 0, "days after 2016-02-22 the campaign started")
 		thr      = flag.Float64("threshold", 10, "level-shift threshold (ms)")
-		flat     = flag.Bool("flat", false, "keep reconstructed series as flat slices instead of XOR-compressed chunks")
 	)
 	flag.Parse()
 	if *path == "" {
@@ -42,22 +41,10 @@ func main() {
 		fatal("reading archive: %v", err)
 	}
 
-	campaign := simclock.Interval{
-		Start: simclock.Time(0).Add(time.Duration(*startOff) * 24 * time.Hour),
-		End:   simclock.LatencyEnd,
-	}
-	if *days > 0 {
-		campaign.End = campaign.Start.Add(time.Duration(*days) * 24 * time.Hour)
-	}
-
-	// Chunked by default: a month-scale archive's reconstructed grids
-	// stay XOR-compressed while the analysis streams them block-wise.
-	// -flat keeps the old uncompressed layout (results are identical).
-	fromWarts := analysis.FromWartsChunked
-	if *flat {
-		fromWarts = analysis.FromWarts
-	}
-	byVP, err := fromWarts(rd, campaign, 5*time.Minute)
+	// Reconstructed grids stay XOR-compressed while the analysis
+	// streams them block-wise.
+	campaign := afrixp.CampaignInterval(*days, *startOff)
+	byVP, err := analysis.FromWartsChunked(rd, campaign, 5*time.Minute)
 	if err != nil {
 		fatal("replay: %v", err)
 	}

@@ -4,48 +4,23 @@
 //
 // Usage:
 //
-//	repro [-days N] [-scale F] [-gen-seed N] [-shards N] [-seed N]
-//	      [-csvdir DIR] [-quiet]
-//	      [-faults] [-fault-seed N] [-budget F] [-budget-seed N]
+//	repro [campaign flags] [-csvdir DIR] [-quiet] [-result-sha]
 //	      [-budget-table] [-scale-sweep]
-//	      [-checkpoint-dir DIR] [-checkpoint-every DUR] [-resume]
-//	      [-result-sha]
 //	      [-table1] [-table2] [-figs] [-headline] [-bdrmap] [-waveforms]
 //	      [-asrank] [-whatif] [-cpuprofile FILE] [-memprofile FILE]
 //	      [-metrics FILE] [-metrics-addr HOST:PORT]
 //
-// -scale ≤ 1 scales the authored paper world's synthetic populations
-// (existing invocations are unchanged); -scale > 1 generates a
-// continent-scale world (internal/worldgen) at that multiple of the
-// paper's size, seeded by -gen-seed, with planted congestion ground
-// truth. -shards partitions the VPs into memory shards, each sealing
-// its series into one shared compression arena; results are
-// bit-identical for any -shards / -workers / -batch. -scale-sweep
-// runs the 1×/10×/100× engine sweep and prints links/s, resident
-// bytes/link, and peak RSS per scale.
+// The campaign flags (-days, -scale, -faults, -budget,
+// -checkpoint-dir, …) are shared with cmd/observatory; `repro -h`
+// lists them, and the afrixp.CampaignConfig field docs describe what
+// each one does. With -faults the output gains a per-VP uptime and
+// sample-yield table; with -budget, a probe-spend line.
 //
-// -faults injects the deterministic fault plan (VP outages, ICMP
-// blackouts and rate limiting, link flaps) and prints each VP's
-// uptime and sample yield; results remain bit-identical for any
-// -workers / -batch.
-//
-// -budget F (F > 0) installs the probe-budget scheduler: links are
-// ranked by marginal utility and probed at adaptive power-of-two
-// periods so the campaign sends at most F of the full-rate probes;
-// results are bit-identical per (-budget, -budget-seed) for any
-// -workers / -batch. F of 1 (or above, clamped) runs the scheduler at
-// full spend — every link at period 1, probe-count parity with an
-// unscheduled run — so 100% budgets take the same code path as 99.9%.
 // -budget-table runs the campaign at 100/50/25/10% budgets and prints
 // detection recall, time-to-detect, and Table-1 fidelity per budget
-// point.
-//
-// -checkpoint-dir DIR snapshots the engine's full measurement state
-// into DIR every -checkpoint-every of virtual campaign time (default
-// 24h), at batch barriers. -resume loads the newest valid checkpoint
-// from DIR and continues the campaign from its barrier — bit-identical
-// to an uninterrupted run, even after a SIGKILL mid-write (the loader
-// falls back past truncated snapshots). -result-sha prints a SHA-256
+// point; it cannot be combined with checkpointing. -scale-sweep runs
+// the 1×/10×/100× engine sweep and prints links/s, resident
+// bytes/link, and peak RSS per scale. -result-sha prints a SHA-256
 // digest of every campaign observable at the bit level, for comparing
 // runs.
 //
@@ -66,19 +41,15 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
-	"runtime"
 	"time"
 
 	"afrixp"
-	"afrixp/internal/budget"
 	"afrixp/internal/experiments"
 	"afrixp/internal/profiling"
 	"afrixp/internal/report"
 	"afrixp/internal/scenario"
-	"afrixp/internal/simclock"
 )
 
 // main delegates to run so that every deferred flush — CPU/heap
@@ -93,23 +64,12 @@ func main() {
 }
 
 func run() error {
+	var cfg afrixp.CampaignConfig
+	cfg.RegisterFlags(flag.CommandLine)
 	var (
-		days        = flag.Int("days", 0, "campaign length in days (0 = the paper's full period)")
-		startOff    = flag.Int("start-offset", 0, "days after 2016-02-22 to start the campaign")
-		scale       = flag.Float64("scale", 1.0, "world scale: ≤1 scales the authored paper world's populations; >1 generates a continent-scale world (see -gen-seed)")
-		genSeed     = flag.Uint64("gen-seed", 0, "continent-scale generator seed (only with -scale > 1; 0 = default)")
-		shards      = flag.Int("shards", 0, "partition VPs into this many memory shards, one shared series arena each (0/1 = private per-VP arenas; results are identical for any value)")
 		doSweep     = flag.Bool("scale-sweep", false, "run the 1×/10×/100× scale sweep (throughput, bytes/link, peak RSS) and print the table")
-		seed        = flag.Uint64("seed", 0, "world seed (0 = default)")
 		csvDir      = flag.String("csvdir", "", "when set, write figure CSVs into this directory")
 		quiet       = flag.Bool("quiet", false, "suppress progress output")
-		noLoss      = flag.Bool("no-loss", false, "skip the 1 pps loss campaigns")
-		workers     = flag.Int("workers", runtime.GOMAXPROCS(0), "probing/analysis worker goroutines (results are identical for any value)")
-		batch       = flag.Int("batch", 0, "max probing steps per worker dispatch (0 = default 1024; results are identical for any value)")
-		doFaults    = flag.Bool("faults", false, "inject the deterministic fault plan (VP outages, ICMP blackouts/rate limits, link flaps) and print per-VP uptime/sample yield")
-		faultSeed   = flag.Uint64("fault-seed", 0, "extra seed for the fault plan (only with -faults)")
-		budgetFrac  = flag.Float64("budget", 0, "probe budget as a fraction of full rate (0 = no scheduler; ≥1 = scheduler at full spend; results identical per (budget, budget-seed) for any -workers/-batch)")
-		budgetSeed  = flag.Uint64("budget-seed", 0, "extra seed for the probe-budget schedule (only with -budget)")
 		doBudgetTab = flag.Bool("budget-table", false, "run the probe-budget sweep (100/50/25/10%) and print recall/time-to-detect/Table-1 fidelity per budget")
 		doTable1    = flag.Bool("table1", false, "Table 1: threshold sensitivity")
 		doTable2    = flag.Bool("table2", false, "Table 2: per-VP evolution")
@@ -123,9 +83,6 @@ func run() error {
 		memProf     = flag.String("memprofile", "", "write a heap profile to this file at exit")
 		metricsOut  = flag.String("metrics", "", "write a campaign telemetry snapshot (JSON) to this file at exit")
 		metricsAddr = flag.String("metrics-addr", "", "serve live telemetry at http://ADDR/metrics during the run")
-		ckptDir     = flag.String("checkpoint-dir", "", "snapshot the campaign's measurement state into this directory at batch barriers")
-		ckptEvery   = flag.Duration("checkpoint-every", 0, "virtual-time cadence between checkpoints (0 = default 24h; only with -checkpoint-dir)")
-		doResume    = flag.Bool("resume", false, "resume from the newest valid checkpoint in -checkpoint-dir (bit-identical to an uninterrupted run)")
 		resultSHA   = flag.Bool("result-sha", false, "print a SHA-256 digest of every campaign observable (bit-level), for comparing runs")
 	)
 	flag.Parse()
@@ -172,34 +129,25 @@ func run() error {
 
 	all := !(*doTable1 || *doTable2 || *doFigs || *doHead || *doBdrmap || *doWaves || *doRels || *doWhatIf)
 
-	var progress io.Writer = os.Stderr
-	if *quiet {
-		progress = nil
+	if !*quiet {
+		cfg.Progress = os.Stderr
 	}
-
 	if *doBudgetTab {
-		return runBudgetTable(*seed, *scale, *days, *startOff, *noLoss,
-			*workers, *batch, *budgetSeed, progress)
+		return runBudgetTable(cfg)
 	}
 	if *doSweep {
 		fmt.Fprintln(os.Stderr, "scale sweep: 1× (paper world) + 10×/100× generated worlds...")
 		points := experiments.RunScaleSweep(experiments.ScaleSweepConfig{
-			GenSeed: *genSeed, Workers: *workers, Progress: progress,
+			GenSeed: cfg.GenSeed, Workers: cfg.Workers, Progress: cfg.Progress,
 		})
 		experiments.RenderScaleSweep(os.Stdout, points)
 		return nil
 	}
 
-	fmt.Fprintf(os.Stderr, "building world (scale %.2f) and running campaign...\n", *scale)
+	fmt.Fprintf(os.Stderr, "building world (scale %.2f) and running campaign...\n", cfg.Scale)
 	start := time.Now()
-	c := afrixp.RunCampaign(afrixp.CampaignConfig{
-		Seed: *seed, Scale: *scale, GenSeed: *genSeed, Days: *days, StartOffsetDays: *startOff,
-		DisableLoss: *noLoss, Workers: *workers, BatchSteps: *batch, Shards: *shards,
-		Faults: *doFaults, FaultSeed: *faultSeed,
-		Budget: *budgetFrac, BudgetSeed: *budgetSeed,
-		CheckpointDir: *ckptDir, CheckpointEvery: *ckptEvery, Resume: *doResume,
-		Progress: progress, Telemetry: tele, Observatory: live,
-	})
+	cfg.Telemetry, cfg.Observatory = tele, live
+	c := afrixp.RunCampaign(cfg)
 	fmt.Fprintf(os.Stderr, "campaign finished in %v\n\n", time.Since(start).Round(time.Second))
 
 	if *resultSHA {
@@ -207,7 +155,7 @@ func run() error {
 	}
 
 	out := os.Stdout
-	if *doFaults {
+	if cfg.Faults {
 		t := &report.Table{Title: "fault plan: per-VP uptime and sample yield",
 			Header: []string{"VP", "links", "uptime", "rounds", "missed", "skipped", "sample yield"}}
 		for _, y := range c.Yields() {
@@ -219,14 +167,10 @@ func run() error {
 		t.Render(out)
 		fmt.Fprintf(out, "%d fault episodes injected\n\n", len(c.Faults.Faults))
 	}
-	if *budgetFrac > 0 {
-		var rounds, skipped int
-		for _, y := range c.Yields() {
-			rounds += y.Rounds
-			skipped += y.Skipped
-		}
+	if cfg.Budget > 0 {
+		rounds, skipped := c.ProbeSpend()
 		fmt.Fprintf(os.Stderr, "probe budget %.0f%%: %d rounds sent, %d skipped (%.1f%% of schedule)\n\n",
-			100**budgetFrac, rounds, skipped,
+			100*cfg.Budget, rounds, skipped,
 			100*float64(rounds)/float64(rounds+skipped))
 	}
 	if all || *doTable1 {
@@ -273,7 +217,7 @@ func run() error {
 		fmt.Fprintln(out)
 	}
 	if all || *doRels {
-		ri, err := experiments.RunRelInference(scenario.Options{Seed: *seed, Scale: *scale},
+		ri, err := experiments.RunRelInference(scenario.Options{Seed: cfg.Seed, Scale: cfg.Scale},
 			afrixp.Date(2016, 3, 17))
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "asrank: %v\n", err)
@@ -285,7 +229,7 @@ func run() error {
 		}
 	}
 	if all || *doWhatIf {
-		pts, err := experiments.RunUpgradeWhatIf(scenario.Options{Seed: *seed, Scale: *scale}, nil)
+		pts, err := experiments.RunUpgradeWhatIf(scenario.Options{Seed: cfg.Seed, Scale: cfg.Scale}, nil)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "whatif: %v\n", err)
 		} else {
@@ -320,31 +264,13 @@ func run() error {
 // runBudgetTable runs the probe-budget sweep — the full-rate campaign
 // plus budgeted reruns at 50/25/10% — and prints probe spend, ground-
 // truth recall, time-to-detect, and Table-1 fidelity per budget point.
-func runBudgetTable(seed uint64, scale float64, days, startOff int,
-	noLoss bool, workers, batch int, budgetSeed uint64, progress io.Writer) error {
-	base := experiments.Config{
-		Opts:        scenario.Options{Seed: seed, Scale: scale},
-		DisableLoss: noLoss,
-		Workers:     workers,
-		BatchSteps:  batch,
-		Budget:      &budget.Config{Seed: budgetSeed},
-		Progress:    progress,
-	}
-	start := simclock.Time(0).Add(time.Duration(startOff) * 24 * time.Hour)
-	if days > 0 {
-		base.Campaign = simclock.Interval{
-			Start: start,
-			End:   start.Add(time.Duration(days) * 24 * time.Hour),
-		}
-		if base.Campaign.End > simclock.LatencyEnd {
-			base.Campaign.End = simclock.LatencyEnd
-		}
-	} else if startOff > 0 {
-		base.Campaign = simclock.Interval{Start: start, End: simclock.LatencyEnd}
-	}
-	fmt.Fprintf(os.Stderr, "budget sweep (scale %.2f): full rate + 50/25/10%% budgets...\n", scale)
+func runBudgetTable(cfg afrixp.CampaignConfig) error {
+	fmt.Fprintf(os.Stderr, "budget sweep (scale %.2f): full rate + 50/25/10%% budgets...\n", cfg.Scale)
 	t0 := time.Now()
-	points := experiments.RunBudgetSweep(base, nil)
+	points, err := afrixp.BudgetSweep(cfg)
+	if err != nil {
+		return err
+	}
 	fmt.Fprintf(os.Stderr, "sweep finished in %v\n\n", time.Since(t0).Round(time.Second))
 	experiments.BudgetSweepReport(points).Render(os.Stdout)
 	fmt.Fprintln(os.Stdout)

@@ -78,9 +78,10 @@ func budgetRecall(res *Result) (truth, detected int, meanDelay simclock.Duration
 	return truth, detected, meanDelay
 }
 
-// attemptedRounds sums per-link rounds attempted and budget-skipped.
-func attemptedRounds(res *Result) (rounds, skipped int) {
-	for _, y := range res.Yields() {
+// ProbeSpend sums the per-link probe rounds attempted and the rounds
+// the budget scheduler skipped, across every VP.
+func (r *Result) ProbeSpend() (rounds, skipped int) {
+	for _, y := range r.Yields() {
 		rounds += y.Rounds
 		skipped += y.Skipped
 	}
@@ -156,7 +157,7 @@ func RunBudgetSweep(base Config, fractions []float64) []BudgetPoint {
 	}
 
 	full := run(fractions[0])
-	fullRounds, _ := attemptedRounds(full)
+	fullRounds, _ := full.ProbeSpend()
 	fullTruth, fullDetected, _ := budgetRecall(full)
 
 	points := make([]BudgetPoint, 0, len(fractions))
@@ -169,7 +170,7 @@ func RunBudgetSweep(base Config, fractions []float64) []BudgetPoint {
 		if frac > 1 {
 			p.Fraction = 1
 		}
-		p.Rounds, p.Skipped = attemptedRounds(res)
+		p.Rounds, p.Skipped = res.ProbeSpend()
 		if fullRounds > 0 {
 			p.SentFrac = float64(p.Rounds) / float64(fullRounds)
 		}

@@ -65,13 +65,12 @@ type Config struct {
 	LossBatchEvery simclock.Duration
 	// DisableLoss skips the loss campaigns.
 	DisableLoss bool
-	// FlatSeries opts the RTT collectors out of the XOR-compressed
+	// flatSeries opts the RTT collectors out of the XOR-compressed
 	// chunked backing and stores aggregated series as plain []float64
-	// — the pre-tschunk layout. Results are bit-identical either way
-	// (TestChunkedCampaignBitIdentical); the flag exists for the
-	// backing-equivalence tests and for callers that mutate collected
-	// series in place.
-	FlatSeries bool
+	// — the pre-tschunk layout. It is the reference backing
+	// TestChunkedCampaignBitIdentical compares the default against;
+	// results are bit-identical either way.
+	flatSeries bool
 	// Workers fans the probing loop out across per-VP goroutines and
 	// the analysis phase across per-link goroutines. Results are
 	// bit-identical for any value: probing always samples against the
@@ -213,7 +212,7 @@ func (c Config) configHash() string {
 	h := fnv.New64a()
 	fmt.Fprintf(h, "opts=%+v campaign=%d..%d step=%d refresh=%d thr=%v lossEvery=%d noloss=%t flat=%t shards=%d",
 		c.Opts, c.Campaign.Start, c.Campaign.End, c.Step, c.RefreshEvery,
-		c.Thresholds, c.LossBatchEvery, c.DisableLoss, c.FlatSeries, c.Shards)
+		c.Thresholds, c.LossBatchEvery, c.DisableLoss, c.flatSeries, c.Shards)
 	if c.Faults != nil {
 		fmt.Fprintf(h, " faults=%+v", *c.Faults)
 	}
@@ -599,7 +598,7 @@ func Run(cfg Config) *Result {
 			}
 			lr := &LinkRecord{Target: target, FarAS: l.FarAS, ViaIXP: l.ViaIXP,
 				DiscoveredAt: t, tslp: ts, Verdicts: make(map[float64]analysis.Verdict)}
-			ccfg := analysis.CollectorConfig{Campaign: cfg.Campaign, Step: cfg.Step, Flat: cfg.FlatSeries}
+			ccfg := analysis.CollectorConfig{Campaign: cfg.Campaign, Step: cfg.Step, Flat: cfg.flatSeries}
 			if arenas != nil {
 				ccfg.Arena = arenas[st.shard]
 			}

@@ -33,7 +33,7 @@ func runShortCampaignCfg(workers, batchSteps int, flat bool) *Result {
 		},
 		Workers:    workers,
 		BatchSteps: batchSteps,
-		FlatSeries: flat,
+		flatSeries: flat,
 	})
 }
 
@@ -143,7 +143,7 @@ func checkBacking(t *testing.T, res *Result, flat bool) {
 		for _, lr := range vr.SortedLinks() {
 			ls := lr.Collector.Series()
 			if ls.Near.Chunked() == flat || ls.Far.Chunked() == flat {
-				t.Fatalf("link %v: Chunked()=%t with FlatSeries=%t", lr.Target, ls.Near.Chunked(), flat)
+				t.Fatalf("link %v: Chunked()=%t with flatSeries=%t", lr.Target, ls.Near.Chunked(), flat)
 			}
 		}
 	}

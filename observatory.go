@@ -1,7 +1,10 @@
 package afrixp
 
 import (
+	"errors"
+	"flag"
 	"io"
+	"runtime"
 	"time"
 
 	"afrixp/internal/analysis"
@@ -47,11 +50,6 @@ type CampaignConfig struct {
 	Thresholds []float64
 	// DisableLoss skips the 1 pps loss campaigns.
 	DisableLoss bool
-	// FlatSeries stores collected RTT series as plain []float64
-	// instead of the default XOR-compressed chunked backing. Results
-	// are bit-identical either way; the flag exists for callers that
-	// mutate collected series in place.
-	FlatSeries bool
 	// Workers fans probing and analysis across goroutines; results are
 	// bit-identical for any value. Default runtime.GOMAXPROCS(0).
 	Workers int
@@ -122,6 +120,29 @@ type CampaignConfig struct {
 	Telemetry *Telemetry
 }
 
+// RegisterFlags binds the campaign flags shared by cmd/repro and
+// cmd/observatory onto c's fields. The defaults are Scale 1, Workers
+// runtime.GOMAXPROCS(0) and zero for everything else; registering
+// overwrites whatever c held.
+func (c *CampaignConfig) RegisterFlags(fs *flag.FlagSet) {
+	fs.IntVar(&c.Days, "days", 0, "campaign length in days (0 = the paper's full period)")
+	fs.IntVar(&c.StartOffsetDays, "start-offset", 0, "days after 2016-02-22 to start the campaign")
+	fs.Float64Var(&c.Scale, "scale", 1, "world scale: ≤1 scales the authored paper world's populations; >1 generates a continent-scale world (see -gen-seed)")
+	fs.Uint64Var(&c.GenSeed, "gen-seed", 0, "continent-scale generator seed (only with -scale > 1; 0 = default)")
+	fs.IntVar(&c.Shards, "shards", 0, "partition VPs into this many memory shards, one shared series arena each (0/1 = private per-VP arenas; results are identical for any value)")
+	fs.Uint64Var(&c.Seed, "seed", 0, "world seed (0 = default)")
+	fs.BoolVar(&c.DisableLoss, "no-loss", false, "skip the 1 pps loss campaigns")
+	fs.IntVar(&c.Workers, "workers", runtime.GOMAXPROCS(0), "probing/analysis worker goroutines (results are identical for any value)")
+	fs.IntVar(&c.BatchSteps, "batch", 0, "max probing steps per worker dispatch (0 = default 1024; results are identical for any value)")
+	fs.BoolVar(&c.Faults, "faults", false, "inject the deterministic fault plan (VP outages, ICMP blackouts/rate limits, link flaps) and report per-VP uptime/sample yield")
+	fs.Uint64Var(&c.FaultSeed, "fault-seed", 0, "extra seed for the fault plan (only with -faults)")
+	fs.Float64Var(&c.Budget, "budget", 0, "probe budget as a fraction of full rate (0 = no scheduler; ≥1 = scheduler at full spend; results identical per (budget, budget-seed) for any -workers/-batch)")
+	fs.Uint64Var(&c.BudgetSeed, "budget-seed", 0, "extra seed for the probe-budget schedule (only with -budget)")
+	fs.StringVar(&c.CheckpointDir, "checkpoint-dir", "", "snapshot the campaign's measurement state into this directory at batch barriers")
+	fs.DurationVar(&c.CheckpointEvery, "checkpoint-every", 0, "virtual-time cadence between checkpoints (0 = default 24h; only with -checkpoint-dir)")
+	fs.BoolVar(&c.Resume, "resume", false, "resume from the newest valid checkpoint in -checkpoint-dir (bit-identical to an uninterrupted run)")
+}
+
 // Telemetry is the campaign instrumentation root (see
 // internal/telemetry): lock-free counters and histograms plus a
 // span/event log with virtual- and wall-clock stamps.
@@ -175,50 +196,76 @@ type Table = report.Table
 
 // RunCampaign executes the campaign and per-link analysis.
 func RunCampaign(cfg CampaignConfig) *Campaign {
-	ecfg := experiments.Config{
-		Opts:        scenario.Options{Seed: cfg.Seed, Scale: cfg.Scale},
-		Thresholds:  cfg.Thresholds,
-		DisableLoss: cfg.DisableLoss,
-		FlatSeries:  cfg.FlatSeries,
-		Workers:     cfg.Workers,
-		BatchSteps:  cfg.BatchSteps,
-		Shards:      cfg.Shards,
-		Progress:    cfg.Progress,
-		Telemetry:   cfg.Telemetry,
-		Observatory: cfg.Observatory,
+	return experiments.Run(cfg.engineConfig())
+}
 
-		CheckpointDir:   cfg.CheckpointDir,
-		CheckpointEvery: simclock.Duration(cfg.CheckpointEvery),
+// engineConfig translates a CampaignConfig into the engine's config.
+// It is the only place that derives the campaign interval, the world
+// builder, the fault and budget plans, and the resume directory.
+func (c CampaignConfig) engineConfig() experiments.Config {
+	ecfg := experiments.Config{
+		Opts:        scenario.Options{Seed: c.Seed, Scale: c.Scale},
+		Campaign:    CampaignInterval(c.Days, c.StartOffsetDays),
+		Thresholds:  c.Thresholds,
+		DisableLoss: c.DisableLoss,
+		Workers:     c.Workers,
+		BatchSteps:  c.BatchSteps,
+		Shards:      c.Shards,
+		Progress:    c.Progress,
+		Telemetry:   c.Telemetry,
+		Observatory: c.Observatory,
+
+		CheckpointDir:   c.CheckpointDir,
+		CheckpointEvery: simclock.Duration(c.CheckpointEvery),
 	}
-	if cfg.Resume {
-		ecfg.ResumeFrom = cfg.CheckpointDir
+	if c.Resume {
+		ecfg.ResumeFrom = c.CheckpointDir
 	}
-	if cfg.Scale > 1 {
+	if c.Scale > 1 {
 		// Continent scale: swap the authored paper world for a
 		// generated one. Scale ≤ 1 keeps every existing invocation
 		// byte-identical to before the generator existed.
-		gcfg := worldgen.Options{Seed: cfg.GenSeed, Scale: cfg.Scale}
+		gcfg := worldgen.Options{Seed: c.GenSeed, Scale: c.Scale}
 		ecfg.BuildWorld = func() *scenario.World { return worldgen.Generate(gcfg) }
 	}
-	if cfg.Faults {
-		ecfg.Faults = &faults.Config{Seed: cfg.FaultSeed}
+	if c.Faults {
+		ecfg.Faults = &faults.Config{Seed: c.FaultSeed}
 	}
-	if cfg.Budget > 0 {
-		ecfg.Budget = &budget.Config{Fraction: cfg.Budget, Seed: cfg.BudgetSeed}
+	if c.Budget > 0 {
+		ecfg.Budget = &budget.Config{Fraction: c.Budget, Seed: c.BudgetSeed}
 	}
-	start := simclock.Time(0).Add(time.Duration(cfg.StartOffsetDays) * 24 * time.Hour)
-	if cfg.Days > 0 {
-		ecfg.Campaign = simclock.Interval{
-			Start: start,
-			End:   start.Add(time.Duration(cfg.Days) * 24 * time.Hour),
-		}
-		if ecfg.Campaign.End > simclock.LatencyEnd {
-			ecfg.Campaign.End = simclock.LatencyEnd
-		}
-	} else if cfg.StartOffsetDays > 0 {
-		ecfg.Campaign = simclock.Interval{Start: start, End: simclock.LatencyEnd}
+	return ecfg
+}
+
+// CampaignInterval is the probing window of a campaign that starts
+// startOffsetDays after the epoch and runs for days, clamped at
+// CampaignEnd. days ≤ 0 runs to CampaignEnd; with no offset either,
+// that is the paper's full period.
+func CampaignInterval(days, startOffsetDays int) Interval {
+	iv := Interval{Start: 0, End: simclock.LatencyEnd}
+	if days <= 0 && startOffsetDays <= 0 {
+		return iv
 	}
-	return experiments.Run(ecfg)
+	iv.Start = simclock.Time(0).Add(time.Duration(startOffsetDays) * 24 * time.Hour)
+	if days > 0 {
+		iv.End = min(iv.Start.Add(time.Duration(days)*24*time.Hour), simclock.LatencyEnd)
+	}
+	return iv
+}
+
+// BudgetSweep runs the campaign at full rate and at 50/25/10 % probe
+// budgets and scores each run's recall, time-to-detect and Table 1
+// fidelity. Each point overrides cfg.Budget; cfg.BudgetSeed is kept.
+// The runs are configured differently, so they cannot share one
+// checkpoint manifest: a CheckpointDir or Resume is an error.
+func BudgetSweep(cfg CampaignConfig) ([]experiments.BudgetPoint, error) {
+	if cfg.CheckpointDir != "" || cfg.Resume {
+		return nil, errors.New("budget sweep: checkpointing is not supported (the sweep runs several differently-configured campaigns)")
+	}
+	// Any positive budget makes the translation carry BudgetSeed; the
+	// sweep sets the fraction per point.
+	cfg.Budget = 1
+	return experiments.RunBudgetSweep(cfg.engineConfig(), nil), nil
 }
 
 // Table1 computes the paper's threshold-sensitivity rows.

@@ -85,12 +85,14 @@ echo "== /metrics + observatory endpoint smoke =="
 # curl holds /stream open from before the first batch barrier so the
 # smoke can assert a live SSE barrier event, then the paged /links
 # table, a /links/{id} detail view, and the /alerts cursor log are
-# spot-checked for the observatory schema.
+# spot-checked for the observatory schema. Finally cmd/replay re-runs
+# the analysis offline over the run's warts archive.
 METRICS_ADDR="127.0.0.1:18573"
 OBS_OUT="$(mktemp -d)"
+OBS_LOG="$(mktemp)"
 STREAM_OUT="$(mktemp)"
 go run ./cmd/observatory -out "$OBS_OUT" -days 2 -scale 0.05 -no-loss \
-  -metrics-addr "$METRICS_ADDR" -metrics-linger 30s >/dev/null 2>&1 &
+  -metrics-addr "$METRICS_ADDR" -metrics-linger 30s >"$OBS_LOG" 2>/dev/null &
 OBS_PID=$!
 # Hold the SSE stream open while the campaign runs: retry until the
 # server accepts (it starts before the first barrier), then collect
@@ -108,7 +110,7 @@ OBS_PID=$!
 STREAM_PID=$!
 # Scoped cleanup: the bench section below installs its own EXIT trap
 # once this block has already torn everything down inline.
-trap 'kill "$OBS_PID" "$STREAM_PID" 2>/dev/null || true; rm -rf "$OBS_OUT" "$STREAM_OUT"' EXIT
+trap 'kill "$OBS_PID" "$STREAM_PID" 2>/dev/null || true; rm -rf "$OBS_OUT" "$OBS_LOG" "$STREAM_OUT"' EXIT
 METRICS_JSON=""
 for _ in $(seq 1 60); do
   if METRICS_JSON="$(curl -fsS "http://$METRICS_ADDR/metrics" 2>/dev/null)" \
@@ -165,10 +167,24 @@ for key in '"schema": "afrixp-observatory/1"' '"next"' '"alerts"'; do
     || { echo "FAIL: /alerts missing $key"; exit 1; }
 done
 
+# Offline replay: the observatory prints its summary table only after
+# the warts archive is flushed, so wait for it, then analyze the
+# archive over the same 2-day campaign interval.
+for _ in $(seq 1 120); do
+  if grep -qF 'observatory run complete' "$OBS_LOG"; then break; fi
+  sleep 0.5
+done
+grep -qF 'observatory run complete' "$OBS_LOG" \
+  || { echo "FAIL: observatory run never wrote its archive"; exit 1; }
+REPLAY_OUT="$(go run ./cmd/replay -warts "$OBS_OUT/measurements.warts" -days 2)" \
+  || { echo "FAIL: replay of the observatory archive failed"; exit 1; }
+echo "$REPLAY_OUT" | grep -qF 'offline analysis of' \
+  || { echo "FAIL: replay printed no analysis table"; exit 1; }
+
 kill "$OBS_PID" 2>/dev/null || true
 wait "$OBS_PID" 2>/dev/null || true
-rm -rf "$OBS_OUT" "$STREAM_OUT"
-echo "metrics + observatory endpoints OK"
+rm -rf "$OBS_OUT" "$OBS_LOG" "$STREAM_OUT"
+echo "metrics + observatory + replay OK"
 
 echo "== checkpoint-restart smoke (kill -9 mid-campaign, resume, byte-identical) =="
 # An uninterrupted faulted+budgeted campaign prints its result digest;
