@@ -121,16 +121,21 @@ func AnalyzeLinkSweep(ls LinkSeries, cfg Config, thresholds []float64) []Verdict
 }
 
 // Sweeper runs link analyses reusing one rank-CUSUM detector's scratch
-// buffers across calls. Campaign engines keep one Sweeper per analysis
-// worker and feed it links; results are bit-identical to fresh
-// per-call detectors. Not safe for concurrent use.
+// buffers across calls, plus one decode buffer per link end: each
+// chunk-backed series is decoded once per sweep, and the level-shift
+// detection and every diurnal fold window read that flat copy.
+// Campaign engines keep one Sweeper per analysis worker and feed it
+// links; results are bit-identical to fresh per-call detectors. Not
+// safe for concurrent use.
 type Sweeper struct {
-	det     *cusum.Detector
-	farScr  levelshift.Scratch
-	nearScr levelshift.Scratch
-	diurScr diurnal.Scratch
-	folds   map[foldWindow]diurnal.Verdict
-	stats   SweeperStats
+	det      *cusum.Detector
+	farGrid  []float64 // decoded Far slots, reused across links
+	nearGrid []float64
+	farScr   levelshift.Scratch
+	nearScr  levelshift.Scratch
+	diurScr  diurnal.Scratch
+	folds    map[foldWindow]diurnal.Verdict
+	stats    SweeperStats
 }
 
 // foldWindow keys the per-link diurnal fold cache: thresholds whose
@@ -161,11 +166,18 @@ func NewSweeper() *Sweeper {
 // sweeper's detector scratch across calls.
 func (sw *Sweeper) AnalyzeLinkSweep(ls LinkSeries, cfg Config, thresholds []float64) []Verdict {
 	sw.stats.Sweeps++
+	// Decode each end once. The flat views alias sweeper buffers, so
+	// nothing a Verdict keeps may point at them: DetectScratch hands
+	// results the collector's series (or a fresh aggregate), and the
+	// folds copy out plain statistics.
+	far := ls.Far.Flat(&sw.farGrid)
+	near := ls.Near.Flat(&sw.nearGrid)
+
 	// Detection phase, once per end: candidates, baseline, and the
 	// aggregated series are all independent of the magnitude threshold.
 	lcfg := cfg.LevelShift
-	farDet := levelshift.DetectScratch(sw.det, ls.Far, lcfg, &sw.farScr)
-	nearDet := levelshift.DetectScratch(sw.det, ls.Near, lcfg, &sw.nearScr)
+	farDet := levelshift.DetectScratch(sw.det, ls.Far, &far, lcfg, &sw.farScr)
+	nearDet := levelshift.DetectScratch(sw.det, ls.Near, &near, lcfg, &sw.nearScr)
 
 	// The diurnal day-folded profile depends on the threshold only
 	// through the event window it is computed over; thresholds that
@@ -213,9 +225,9 @@ func (sw *Sweeper) AnalyzeLinkSweep(ls LinkSeries, cfg Config, thresholds []floa
 		}
 		fold, ok := folds[win]
 		if !ok {
-			diurnalInput := ls.Far
+			diurnalInput := &far
 			if !win.whole {
-				w := ls.Far.Window(win.from, win.to)
+				w := far.Window(win.from, win.to)
 				diurnalInput = &w
 			}
 			fold = diurnal.FoldWith(diurnalInput, dcfg, &sw.diurScr)
@@ -234,7 +246,7 @@ func (sw *Sweeper) AnalyzeLinkSweep(ls LinkSeries, cfg Config, thresholds []floa
 			// the level shifts themselves.
 			v.AW = v.Far.ShiftAW()
 			v.DeltaTUD = r.MeanDuration()
-			v.Class = classify(events, ls.Far, cfg)
+			v.Class = classify(events, &far, cfg)
 		}
 		out = append(out, v)
 	}

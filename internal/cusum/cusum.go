@@ -93,18 +93,21 @@ func DetectRaw(xs []float64, cfg Config) []ChangePoint {
 
 // Detector runs repeated change-point detections with one set of
 // reusable scratch buffers (rank transform, bootstrap shuffle copy,
-// candidate lists). The level-shift analyzer calls Detect once per
-// detection window per link per threshold — reusing the scratch removes
-// the dominant allocation cost of a campaign's analysis phase. Results
-// are bit-identical to the package-level Detect/DetectRaw: reseeding a
-// rand.Rand produces the same stream as constructing it from the same
-// seed, and every buffer is fully overwritten per call.
+// candidate lists). The level-shift analyzer threads one detector
+// through every detection window of every link a sweep worker
+// analyzes (windows × link ends, never × thresholds) — reusing the
+// scratch removes the dominant allocation cost of a campaign's
+// analysis phase. Results are bit-identical to the package-level
+// Detect/DetectRaw: reseeding a rand.Rand produces the same stream as
+// constructing it from the same seed, and every buffer is fully
+// overwritten per call.
 //
 // A Detector is not safe for concurrent use; fan-out callers create one
 // per goroutine.
 type Detector struct {
-	cfg Config
-	rng *rand.Rand
+	cfg  Config
+	need int // least k with float64(k)/float64(Bootstraps) >= Confidence
+	rng  *rand.Rand
 
 	ranks   []float64
 	rankIdx []int
@@ -112,15 +115,21 @@ type Detector struct {
 	cps     []int
 	confs   []float64
 	order   []int
+	skipped []skippedDraws
 }
+
+// skippedDraws records shuffles an early-rejected bootstrap never ran:
+// shuffles Fisher–Yates passes over a segment of n samples. Their
+// random draws are owed to the rest of the window (see
+// bootstrapConfidence).
+type skippedDraws struct{ n, shuffles int }
 
 // NewDetector builds a reusable detector. cfg.Seed is ignored — each
 // Detect call takes its own seed.
 func NewDetector(cfg Config) *Detector {
-	return &Detector{
-		cfg: cfg.withDefaults(),
-		rng: rand.New(rand.NewSource(0)),
-	}
+	d := &Detector{rng: rand.New(rand.NewSource(0))}
+	d.Reconfigure(cfg)
+	return d
 }
 
 // Reconfigure swaps the detector's configuration while keeping its
@@ -128,6 +137,20 @@ func NewDetector(cfg Config) *Detector {
 // across many analyses whose configs may differ.
 func (d *Detector) Reconfigure(cfg Config) {
 	d.cfg = cfg.withDefaults()
+	d.need = acceptCount(d.cfg.Bootstraps, d.cfg.Confidence)
+}
+
+// acceptCount returns the least k in [0, n] with
+// float64(k)/float64(n) >= conf — the number of smaller shuffles a
+// bootstrap of n shuffles needs to be accepted — or n+1 when no k
+// qualifies. The float comparison is the one segment applies, so
+// "smaller >= acceptCount" and "confidence >= conf" agree exactly.
+func acceptCount(n int, conf float64) int {
+	k := 0
+	for k <= n && float64(k)/float64(n) < conf {
+		k++
+	}
+	return k
 }
 
 // Detect runs the recursive change-point analysis over xs with the
@@ -159,6 +182,7 @@ func (d *Detector) AppendCandidates(dst []Candidate, xs []float64, seed int64) [
 		work = d.ranksInto(xs)
 	}
 	d.rng.Seed(seed)
+	d.skipped = d.skipped[:0] // the reseed forgives draws owed by the last window
 	d.cps = d.cps[:0]
 	d.confs = d.confs[:0]
 	d.segment(work, 0, len(work))
@@ -336,24 +360,95 @@ func maxCusumSplitBounded(xs []float64, minSeg int) (int, float64) {
 	return argExt, smax - smin
 }
 
+// cusumRange returns the CUSUM chart range Smax−Smin of xs around the
+// mean m — maxCusumSplit's detection statistic without the argmax,
+// accumulated in the same order so the result is bit-identical.
+func cusumRange(xs []float64, m float64) float64 {
+	var s, smax, smin float64
+	for _, x := range xs {
+		s += x - m
+		if s > smax {
+			smax = s
+		}
+		if s < smin {
+			smin = s
+		}
+	}
+	return smax - smin
+}
+
 // bootstrapConfidence estimates how often a random reordering of xs
-// produces a smaller CUSUM range than observed. The shuffle copy lives
-// in detector scratch — this is the analysis phase's hot spot.
+// produces a smaller CUSUM range than observed — the analysis phase's
+// hot spot (DESIGN.md §18). Each step below keeps the result bit-equal
+// to running all shuffles through rand.Shuffle and maxCusumSplit (the
+// reference kernel in oracle_test.go):
+//
+//   - the inlined Fisher–Yates makes the same Uint32 draws as
+//     rand.Shuffle, so every shuffle is the same permutation;
+//   - a shuffle needs only the chart range, and in rank mode the mean
+//     is computed once: half-integer ranks sum exactly in any order;
+//   - a segment stops as soon as the shuffles left cannot lift it to
+//     cfg.Confidence. The caller rejects it either way, so the returned
+//     ratio is only known to be below the bar. The skipped shuffles'
+//     draws are recorded and made (without swapping) before the next
+//     bootstrap of the same window; the next window's reseed drops
+//     them.
 func (d *Detector) bootstrapConfidence(xs []float64, observed float64) float64 {
 	if observed <= 0 {
 		return 0
 	}
+	d.drawSkipped()
 	shuf := append(d.shuf[:0], xs...)
 	d.shuf = shuf
-	smaller := 0
 	n := d.cfg.Bootstraps
+	m := mean(shuf)
+	smaller := 0
 	for b := 0; b < n; b++ {
-		d.rng.Shuffle(len(shuf), func(i, j int) { shuf[i], shuf[j] = shuf[j], shuf[i] })
-		if _, diff := maxCusumSplit(shuf); diff < observed {
+		if smaller+n-b < d.need {
+			d.skipped = append(d.skipped, skippedDraws{n: len(shuf), shuffles: n - b})
+			break
+		}
+		for i := len(shuf) - 1; i > 0; i-- {
+			j := d.uint32n(uint32(i + 1))
+			shuf[i], shuf[j] = shuf[j], shuf[i]
+		}
+		if !d.cfg.UseRanks {
+			m = mean(shuf) // raw sums are order-dependent
+		}
+		if cusumRange(shuf, m) < observed {
 			smaller++
 		}
 	}
 	return float64(smaller) / float64(n)
+}
+
+// drawSkipped makes the random draws of every shuffle an early
+// rejection skipped, in the order they were skipped, so the next
+// bootstrap sees the stream the full shuffles would have left.
+func (d *Detector) drawSkipped() {
+	for _, sk := range d.skipped {
+		for b := 0; b < sk.shuffles; b++ {
+			for i := sk.n - 1; i > 0; i-- {
+				d.uint32n(uint32(i + 1))
+			}
+		}
+	}
+	d.skipped = d.skipped[:0]
+}
+
+// uint32n returns a uniform draw in [0, n) for 0 < n < 2³¹, consuming
+// exactly the Uint32 draws math/rand's Shuffle makes for the same
+// bound: Lemire's multiply-shift with rejection, rand.(*Rand).int31n.
+func (d *Detector) uint32n(n uint32) uint32 {
+	prod := uint64(d.rng.Uint32()) * uint64(n)
+	if low := uint32(prod); low < n {
+		thresh := -n % n
+		for low < thresh {
+			prod = uint64(d.rng.Uint32()) * uint64(n)
+			low = uint32(prod)
+		}
+	}
+	return uint32(prod >> 32)
 }
 
 // Ranks replaces each value by its (average-tie) rank, the

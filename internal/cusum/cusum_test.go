@@ -274,3 +274,45 @@ func BenchmarkDetectYearHourly(b *testing.B) {
 		Detect(xs, Config{Bootstraps: 50, Seed: 1})
 	}
 }
+
+// BenchmarkDetectorCandidates measures the segmentation + bootstrap
+// kernel on the campaign's unit of work: one 48-slot detection window
+// (a day of 30-minute minimum-filtered samples) at the level-shift
+// analyzer's configuration, one reused detector, one reseed per
+// window. Shapes: quiet noise (the root is rejected), one step, and a
+// diurnal plateau (two accepted splits and rejected children).
+func BenchmarkDetectorCandidates(b *testing.B) {
+	rng := rand.New(rand.NewSource(48))
+	shapes := []struct {
+		name  string
+		level func(i int) float64
+	}{
+		{"quiet", func(int) float64 { return 2 }},
+		{"step", func(i int) float64 {
+			if i >= 20 {
+				return 14
+			}
+			return 2
+		}},
+		{"plateau", func(i int) float64 {
+			if i >= 18 && i < 34 {
+				return 25
+			}
+			return 2
+		}},
+	}
+	for _, sh := range shapes {
+		xs := make([]float64, 48)
+		for i := range xs {
+			xs[i] = sh.level(i) + 0.5*rng.NormFloat64()
+		}
+		b.Run(sh.name, func(b *testing.B) {
+			d := NewDetector(Config{Bootstraps: 60, Confidence: 0.95, MinSegment: 2, UseRanks: true})
+			var dst []Candidate
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				dst = d.AppendCandidates(dst[:0], xs, int64(i))
+			}
+		})
+	}
+}

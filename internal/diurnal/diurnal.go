@@ -134,7 +134,7 @@ func FoldWith(s *timeseries.Series, cfg Config, scr *Scratch) Verdict {
 	// over ascending day ranges directly (the order SplitDays' sorted
 	// keys used to produce) so no per-day map or sub-series allocation
 	// survives; days with no present samples contribute nothing either
-	// way, because correlate rejects their all-missing profiles.
+	// way, because correlateWith rejects their all-missing profiles.
 	nBins := len(profile)
 	var corrSum float64
 	for i := 0; i < s.Len(); {
@@ -168,14 +168,9 @@ func (v Verdict) Decide(cfg Config) Verdict {
 	return v
 }
 
-// correlate computes the Pearson correlation between two profiles over
-// bins present in both, requiring at least minBins shared bins.
-func correlate(a, b []float64, minBins int) (float64, bool) {
-	var scr Scratch
-	return correlateWith(a, b, minBins, &scr)
-}
-
-// correlateWith is correlate through scratch pair buffers.
+// correlateWith computes the Pearson correlation between two profiles
+// over bins present in both, requiring at least minBins shared bins,
+// through scratch pair buffers.
 func correlateWith(a, b []float64, minBins int, scr *Scratch) (float64, bool) {
 	xs, ys := scr.xs[:0], scr.ys[:0]
 	defer func() { scr.xs, scr.ys = xs[:0], ys[:0] }()

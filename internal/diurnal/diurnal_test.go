@@ -161,6 +161,12 @@ func TestEmptySeries(t *testing.T) {
 	}
 }
 
+// correlate is correlateWith through a fresh scratch.
+func correlate(a, b []float64, minBins int) (float64, bool) {
+	var scr Scratch
+	return correlateWith(a, b, minBins, &scr)
+}
+
 func TestCorrelateEdgeCases(t *testing.T) {
 	if _, ok := correlate([]float64{1, 2}, []float64{1, 2}, 1); ok {
 		t.Fatal("fewer than 3 shared bins must fail")
@@ -265,5 +271,32 @@ func TestFoldGapNormalization(t *testing.T) {
 	}
 	if v.PeakHour < 9 || v.PeakHour >= 17 {
 		t.Fatalf("peak hour = %v", v.PeakHour)
+	}
+}
+
+// BenchmarkFoldWith measures one diurnal fold — the day-folded profile
+// plus the per-day consistency walk — over a 60-day 5-minute series,
+// read flat (the sweep's decoded view) and chunk-backed (decoding
+// every block on each pass).
+func BenchmarkFoldWith(b *testing.B) {
+	rng := rand.New(rand.NewSource(60))
+	flat := series(60, func(_ int, h float64) float64 {
+		v := 2 + math.Abs(0.5*rng.NormFloat64())
+		if h >= 9 && h < 17 {
+			v += 20
+		}
+		return v
+	})
+	for _, bc := range []struct {
+		name string
+		s    *timeseries.Series
+	}{{"flat", flat}, {"chunked", timeseries.Compress(flat)}} {
+		b.Run(bc.name, func(b *testing.B) {
+			var scr Scratch
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				FoldWith(bc.s, Config{}, &scr)
+			}
+		})
 	}
 }

@@ -1131,16 +1131,18 @@ func Run(cfg Config) *Result {
 }
 
 // Reanalyze re-runs the per-link threshold-sweep analysis, fanning the
-// links out across the given number of workers. Each link is one task
-// running the whole Table-1 sweep (analysis.AnalyzeLinkSweep): the
-// windowed rank-CUSUM detection and the diurnal fold run once per link
-// end and every threshold reuses them — the detect-once/threshold-many
-// optimization that took the analysis phase from ~4× to ~1× detection
-// cost. Each worker threads one analysis.Sweeper, so detector scratch
-// (rank transform, bootstrap shuffle) is reused across its links too.
-// AnalyzeLinkSweep is pure and each task writes only its own record,
-// so ordering cannot affect results. Run calls this once; it is
-// exported so callers can re-derive verdicts after changing
+// links out across the given number of workers. Each link runs the
+// whole Table-1 sweep in one analysis.AnalyzeLinkSweep call: each link
+// end is decoded once, gets one windowed rank-CUSUM detection and one
+// diurnal fold per distinct event window, and every threshold reuses
+// them. Each worker threads one analysis.Sweeper, so the detector
+// scratch (rank transform, bootstrap shuffle) and the decode buffers
+// are reused across its links. The unit of work is one link, or one
+// whole shard in sharded campaigns (a shard's collectors seal into one
+// shared arena, so one worker walks its links in VP order).
+// AnalyzeLinkSweep is pure and each link's record is written by one
+// worker only, so scheduling cannot affect results. Run calls this
+// once; it is exported so callers can re-derive verdicts after changing
 // Cfg.Thresholds, and it is the benchmark surface for the analysis
 // fan-out.
 func (r *Result) Reanalyze(workers int) {

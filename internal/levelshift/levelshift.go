@@ -206,7 +206,7 @@ func Detect(s *timeseries.Series, cfg Config) *Detection {
 // its prior configuration does not matter; results are bit-identical
 // to Detect.
 func DetectWith(det *cusum.Detector, s *timeseries.Series, cfg Config) *Detection {
-	return DetectScratch(det, s, cfg, &Scratch{})
+	return DetectScratch(det, s, nil, cfg, &Scratch{})
 }
 
 // DetectScratch is DetectWith with caller-owned working memory: the
@@ -214,19 +214,28 @@ func DetectWith(det *cusum.Detector, s *timeseries.Series, cfg Config) *Detectio
 // instead of fresh allocations. The returned Detection reads through
 // scr and is invalidated by the next DetectScratch call with the same
 // scratch. Results are bit-identical to Detect.
-func DetectScratch(det *cusum.Detector, s *timeseries.Series, cfg Config, scr *Scratch) *Detection {
+//
+// flat, when non-nil, is s.Flat: s's samples already decoded by a
+// caller that reads the same series again (the sweep's diurnal fold),
+// so the detection reads them from there rather than decoding s once
+// more. The Detection, and every Result derived from it, holds s or a
+// fresh aggregate of it — never flat, whose buffer the caller reuses.
+func DetectScratch(det *cusum.Detector, s, flat *timeseries.Series, cfg Config, scr *Scratch) *Detection {
+	read := s
+	if flat != nil {
+		read = flat
+	}
 	work := s
 	if cfg.AggregateTo > 0 && cfg.AggregateTo > s.Step {
 		factor := int(cfg.AggregateTo / s.Step)
-		work = s.Aggregate(factor, timeseries.Min)
+		work = read.Aggregate(factor, timeseries.Min)
+		read = work
 	}
 	// The CUSUM detector cannot carry NaNs; compact the present
-	// samples and keep the index mapping back to grid slots. Each
-	// streams chunk-backed series one decoded block at a time — the
-	// analysis never materializes the full grid.
+	// samples and keep the index mapping back to grid slots.
 	scr.vals = scr.vals[:0]
 	scr.slots = scr.slots[:0]
-	work.Each(func(base int, vs []float64) {
+	read.Each(func(base int, vs []float64) {
 		for k, v := range vs {
 			if !timeseries.IsMissing(v) {
 				scr.vals = append(scr.vals, v)
@@ -375,19 +384,6 @@ func (d *Detection) AtThreshold(thresholdMs float64) Result {
 	}
 	res.Events = filterShort(events, d.cfg.MinDuration)
 	return res
-}
-
-// offsetShifts rebases change-point indices from window space into the
-// compacted series. AtThreshold inlines this into its scratch loop;
-// the helper remains as the reference the two-phase equivalence test
-// rebuilds the single-shot pipeline from.
-func offsetShifts(cps []cusum.ChangePoint, off int) []cusum.ChangePoint {
-	out := make([]cusum.ChangePoint, len(cps))
-	for i, cp := range cps {
-		cp.Index += off
-		out[i] = cp
-	}
-	return out
 }
 
 // filterShort drops events shorter than minDur (open-ended events are

@@ -121,6 +121,18 @@ func analyzeReference(s *timeseries.Series, cfg Config) Result {
 	return res
 }
 
+// offsetShifts rebases change-point indices from window space into the
+// compacted series — the step AtThreshold inlines into its scratch
+// loop, kept here for the reference pipeline.
+func offsetShifts(cps []cusum.ChangePoint, off int) []cusum.ChangePoint {
+	out := make([]cusum.ChangePoint, len(cps))
+	for i, cp := range cps {
+		cp.Index += off
+		out[i] = cp
+	}
+	return out
+}
+
 // resultsBitIdentical compares two Results at the IEEE-bit level
 // (NaN-holed series defeat reflect.DeepEqual).
 func resultsBitIdentical(a, b Result) bool {

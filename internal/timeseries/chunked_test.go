@@ -192,3 +192,36 @@ func TestChunkedSeriesIsImmutable(t *testing.T) {
 	}()
 	s.Set(0, 1)
 }
+
+// TestFlatDecodesViews pins Flat: a chunk-backed series or any window
+// of it (starting and ending mid-block included) decodes to exactly its
+// flat twin's slots, reusing one buffer across calls; a flat series
+// comes back as itself.
+func TestFlatDecodesViews(t *testing.T) {
+	var buf []float64
+	check := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		flat := randomSeries(rng)
+		if same := flat.Flat(&buf); len(flat.Values) > 0 && &same.Values[0] != &flat.Values[0] {
+			return false
+		}
+		ch := Compress(flat)
+		lo := 0
+		if flat.Len() > 0 {
+			lo = rng.Intn(flat.Len())
+		}
+		hi := lo + rng.Intn(flat.Len()-lo+1)
+		for _, v := range [][2]int{{0, flat.Len()}, {lo, hi}} {
+			want, view := flat.window(v[0], v[1]), ch.window(v[0], v[1])
+			got := view.Flat(&buf)
+			if got.Chunked() || got.Start != want.Start || got.Step != want.Step ||
+				!bitsSliceEqual(got.Values, want.Values) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(check, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+}

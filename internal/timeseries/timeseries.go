@@ -183,6 +183,40 @@ func (s *Series) Each(fn func(base int, vals []float64)) {
 	}
 }
 
+// Flat returns s as a flat series: s itself when it is flat, otherwise
+// a view over s's slots decoded into *buf, one pass per block. *buf is
+// grown as needed and reused across calls, so the decoded view is
+// valid only until the next Flat into the same buffer and must not be
+// retained past it. Callers that read one chunk-backed series many
+// times (the analysis sweep) decode it once here instead of once per
+// read.
+func (s *Series) Flat(buf *[]float64) Series {
+	if s.chunk == nil {
+		return *s
+	}
+	flat := Series{Start: s.Start, Step: s.Step}
+	if s.cLen == 0 {
+		return flat
+	}
+	// Blocks decode straight into the buffer, back to back; the view
+	// then skips the first block's slots before cOff.
+	first := s.cOff / tschunk.BlockLen
+	last := (s.cOff + s.cLen - 1) / tschunk.BlockLen
+	vals := *buf
+	if need := (last - first + 1) * tschunk.BlockLen; cap(vals) < need {
+		vals = make([]float64, 0, need)
+	}
+	vals = vals[:0]
+	for b := first; b <= last; b++ {
+		n := len(vals)
+		vals = vals[:n+len(s.chunk.DecodeBlock(b, vals[n:n+tschunk.BlockLen]))]
+	}
+	*buf = vals
+	skip := s.cOff - s.chunk.BlockBase(first)
+	flat.Values = vals[skip : skip+s.cLen]
+	return flat
+}
+
 // window returns the sub-view [lo, hi) by slot index, sharing the
 // backing.
 func (s *Series) window(lo, hi int) Series {
@@ -558,28 +592,4 @@ func resizeFloats(p *[]float64, n int) []float64 {
 	}
 	*p = (*p)[:n]
 	return *p
-}
-
-// SplitDays returns one sub-series per UTC day, keyed by day index
-// since the simclock epoch. Days with no present samples are omitted.
-func (s *Series) SplitDays() map[int]*Series {
-	out := make(map[int]*Series)
-	perDay := int(24 * time.Hour / s.Step)
-	if perDay == 0 {
-		return out
-	}
-	for i := 0; i < s.Len(); {
-		day := s.TimeAt(i).Day()
-		// Collect slots in this day.
-		j := i
-		for j < s.Len() && s.TimeAt(j).Day() == day {
-			j++
-		}
-		sub := s.window(i, j)
-		if sub.PresentCount() > 0 {
-			out[day] = &sub
-		}
-		i = j
-	}
-	return out
 }

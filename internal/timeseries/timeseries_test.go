@@ -177,6 +177,32 @@ func TestFoldDailyPanicsOnBadBin(t *testing.T) {
 	NewRegular(0, time.Minute, 10).FoldDaily(7*time.Hour, Mean)
 }
 
+// SplitDays returns one sub-series per UTC day, keyed by day index
+// since the simclock epoch. Days with no present samples are omitted.
+// It is the day-split reference the chunked-backing tests compare
+// against.
+func (s *Series) SplitDays() map[int]*Series {
+	out := make(map[int]*Series)
+	perDay := int(24 * time.Hour / s.Step)
+	if perDay == 0 {
+		return out
+	}
+	for i := 0; i < s.Len(); {
+		day := s.TimeAt(i).Day()
+		// Collect slots in this day.
+		j := i
+		for j < s.Len() && s.TimeAt(j).Day() == day {
+			j++
+		}
+		sub := s.window(i, j)
+		if sub.PresentCount() > 0 {
+			out[day] = &sub
+		}
+		i = j
+	}
+	return out
+}
+
 func TestSplitDays(t *testing.T) {
 	start := simclock.Date(2016, time.March, 1)
 	s := NewRegular(start, time.Hour, 72) // 3 days

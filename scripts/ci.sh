@@ -222,11 +222,13 @@ echo "== bench smoke (1 iteration each) =="
 SMOKE="$(mktemp)"
 trap 'rm -f "$SMOKE"' EXIT
 go test -run '^$' -bench . -benchtime 1x . | tee "$SMOKE"
-# Per-layer micro-benchmarks of the discovery kernels (route
-# computation, connected-subnet lookup, diurnal load) run on the
-# generated worlds; smoke them too. The ledger does not track them, so
-# they stay out of the guard below.
-go test -run '^$' -bench . -benchtime 1x ./internal/bgpsim ./internal/netsim ./internal/trafficmodel
+# Per-layer micro-benchmarks: the discovery kernels (route
+# computation, connected-subnet lookup, diurnal load) on the generated
+# worlds, and the analysis kernels (rank-CUSUM segmenting, the diurnal
+# fold) on fixed inputs; smoke them too. The ledger does not track
+# them, so they stay out of the guard below.
+go test -run '^$' -bench . -benchtime 1x ./internal/bgpsim ./internal/netsim ./internal/trafficmodel \
+  ./internal/cusum ./internal/diurnal
 
 echo "== bench regression guard (warn-only) =="
 # Single-iteration timings are noisy, so a regression here warns but
