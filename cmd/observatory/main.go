@@ -95,7 +95,7 @@ func run() error {
 		if *metricsAddr != "" {
 			var mounts []func(*http.ServeMux)
 			if !*noLive {
-				live = afrixp.NewObservatory(afrixp.ObservatoryConfig{})
+				live = afrixp.NewObservatory()
 				mounts = append(mounts, live.Mount)
 			}
 			srv, err := tele.Serve(*metricsAddr, mounts...)

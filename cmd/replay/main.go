@@ -44,7 +44,7 @@ func main() {
 	// Reconstructed grids stay XOR-compressed while the analysis
 	// streams them block-wise.
 	campaign := afrixp.CampaignInterval(*days, *startOff)
-	byVP, err := analysis.FromWartsChunked(rd, campaign, 5*time.Minute)
+	byVP, err := analysis.FromWarts(rd, campaign, 5*time.Minute)
 	if err != nil {
 		fatal("replay: %v", err)
 	}

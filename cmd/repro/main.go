@@ -116,7 +116,7 @@ func run() error {
 			// The streaming observatory rides beside /metrics: the live
 			// link table, alert log, and SSE stream of the campaign's
 			// online detectors. Read-side only — results are unchanged.
-			live = afrixp.NewObservatory(afrixp.ObservatoryConfig{})
+			live = afrixp.NewObservatory()
 			srv, err := tele.Serve(*metricsAddr, live.Mount)
 			if err != nil {
 				return err

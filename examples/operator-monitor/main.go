@@ -30,7 +30,7 @@ func main() {
 		Start: afrixp.Date(2016, time.February, 29),
 		End:   afrixp.Date(2016, time.June, 1),
 	}
-	mon := afrixp.NewMonitor(target, afrixp.MonitorConfig{})
+	mon := afrixp.NewMonitor(target)
 
 	fmt.Printf("watching %v (QCELL–NETPAGE at SIXP) from %v\n\n", target, watch.Start)
 	watch.Steps(5*time.Minute, func(t simclock.Time) {

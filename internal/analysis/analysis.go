@@ -253,6 +253,21 @@ func (sw *Sweeper) AnalyzeLinkSweep(ls LinkSeries, cfg Config, thresholds []floa
 	return out
 }
 
+// SweepInto runs the DefaultConfig sweep and writes each threshold's
+// verdict into dst. asymmetric carries the link's record-route
+// verdict: an asymmetric route invalidates the TSLP attribution — the
+// far-RTT rise may come from a reverse path that does not cross this
+// link — so its verdicts are neither Symmetric nor Congested.
+func (sw *Sweeper) SweepInto(dst map[float64]Verdict, ls LinkSeries, thresholds []float64, asymmetric bool) {
+	for k, v := range sw.AnalyzeLinkSweep(ls, DefaultConfig(), thresholds) {
+		if asymmetric {
+			v.Symmetric = false
+			v.Congested = false
+		}
+		dst[thresholds[k]] = v
+	}
+}
+
 // classify separates sustained from transient congestion by where the
 // last event sits relative to the end of *observation* — the last
 // far-end response, not the campaign end. GIXA–GHANATEL was congested

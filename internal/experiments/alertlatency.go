@@ -69,7 +69,7 @@ func RunAlertLatency(opts scenario.Options) ([]AlertLatency, error) {
 		if err != nil {
 			return nil, err
 		}
-		m := monitor.New(target, monitor.Config{})
+		m := monitor.New(target)
 		al := AlertLatency{Case: sp.name}
 		w.AdvanceTo(sp.watch.Start)
 		sp.watch.Steps(5*time.Minute, func(t simclock.Time) {

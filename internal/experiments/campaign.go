@@ -1148,22 +1148,11 @@ func Run(cfg Config) *Result {
 func (r *Result) Reanalyze(workers int) {
 	thresholds := r.Cfg.Thresholds
 	analyzeOne := func(sw *analysis.Sweeper, lr *LinkRecord) {
-		ls := lr.Collector.Series()
 		if lr.Verdicts == nil {
 			lr.Verdicts = make(map[float64]analysis.Verdict, len(thresholds))
 		}
-		verdicts := sw.AnalyzeLinkSweep(ls, analysis.DefaultConfig(), thresholds)
-		for k, thr := range thresholds {
-			v := verdicts[k]
-			if lr.Symmetry != nil && !lr.Symmetry.Symmetric {
-				// An asymmetric route invalidates the TSLP
-				// attribution: the far-RTT rise may come from a
-				// reverse path that does not cross this link.
-				v.Symmetric = false
-				v.Congested = false
-			}
-			lr.Verdicts[thr] = v
-		}
+		sw.SweepInto(lr.Verdicts, lr.Collector.Series(), thresholds,
+			lr.Symmetry != nil && !lr.Symmetry.Symmetric)
 		if lr.lossCol != nil {
 			lr.LossBatches = lr.lossCol.Batches()
 		}
@@ -1236,9 +1225,9 @@ func effectiveWorkers(n, workers int) int {
 // its worker index (0 ≤ w < effectiveWorkers(n, workers)) so callers
 // can give every worker goroutine private reusable state (analysis
 // sweepers, detector scratch) without locking. workers ≤ 1 (or n ≤ 1)
-// runs inline with no goroutines. The probing loop no longer uses this
-// — it keeps a persistent probePool across the campaign — but the
-// one-shot analysis fan-out does not need goroutine reuse.
+// runs inline with no goroutines. It serves one-shot fan-outs such as
+// the analysis sweep; the probing loop keeps a persistent probePool
+// instead.
 func parallelWorkers(n, workers int, fn func(worker, i int)) {
 	workers = effectiveWorkers(n, workers)
 	if workers <= 1 {

@@ -17,49 +17,22 @@ import (
 	"afrixp/internal/timeseries"
 )
 
-// Config tunes the online detector.
-type Config struct {
-	// ThresholdMs is the level-shift magnitude threshold (paper: 10).
-	ThresholdMs float64
-	// Window is the sliding analysis window. Default 7 days — long
-	// enough for the diurnal-consistency check to mean something.
-	Window simclock.Duration
-	// ConfirmDays is how many consecutive window evaluations must
-	// agree before an alert fires (debouncing). Default 2.
-	ConfirmDays int
-	// Step is the probing cadence feeding the monitor (default 5 min).
-	Step simclock.Duration
-	// EvaluateEvery controls how often the window is re-analyzed.
-	// Default 24 h (one evaluation per day, after the day completes).
-	EvaluateEvery simclock.Duration
-	// HistoryCap bounds a Fleet's retained alert history: a ring of
-	// the most recent alerts, so a year-long watch cannot grow without
-	// bound. The total alert count survives truncation
-	// (Fleet.TotalAlerts). Default 4096.
-	HistoryCap int
-}
-
-func (c Config) withDefaults() Config {
-	if c.ThresholdMs <= 0 {
-		c.ThresholdMs = 10
-	}
-	if c.Window <= 0 {
-		c.Window = 7 * 24 * time.Hour
-	}
-	if c.ConfirmDays <= 0 {
-		c.ConfirmDays = 2
-	}
-	if c.Step <= 0 {
-		c.Step = 5 * time.Minute
-	}
-	if c.EvaluateEvery <= 0 {
-		c.EvaluateEvery = 24 * time.Hour
-	}
-	if c.HistoryCap <= 0 {
-		c.HistoryCap = 4096
-	}
-	return c
-}
+// Monitor tuning.
+const (
+	// thresholdMs is the level-shift magnitude threshold (paper: 10).
+	thresholdMs = 10
+	// window is the sliding analysis window — long enough for the
+	// diurnal-consistency check to mean something.
+	window = 7 * 24 * time.Hour
+	// confirmDays is how many consecutive window evaluations must agree
+	// before an alert fires (debouncing).
+	confirmDays = 2
+	// step is the probing cadence feeding the monitor.
+	step = 5 * time.Minute
+	// evaluateEvery is how often the window is re-analyzed: once a day,
+	// after the day completes.
+	evaluateEvery = 24 * time.Hour
+)
 
 // AlertKind labels an alert.
 type AlertKind int8
@@ -99,7 +72,6 @@ type Alert struct {
 
 // Monitor watches one link online.
 type Monitor struct {
-	cfg    Config
 	target prober.LinkTarget
 
 	// ring buffers of aggregated 30-min minima over the window.
@@ -116,11 +88,9 @@ type Monitor struct {
 }
 
 // New builds a monitor for one link.
-func New(target prober.LinkTarget, cfg Config) *Monitor {
-	cfg = cfg.withDefaults()
-	bins := int(cfg.Window / (30 * time.Minute))
+func New(target prober.LinkTarget) *Monitor {
+	bins := int(window / (30 * time.Minute))
 	return &Monitor{
-		cfg:    cfg,
 		target: target,
 		near:   newRing(bins, 30*time.Minute),
 		far:    newRing(bins, 30*time.Minute),
@@ -147,7 +117,7 @@ func (m *Monitor) Feed(s prober.Sample) []Alert {
 
 	var alerts []Alert
 	// Reachability: a day of continuous far loss is a dead link.
-	deadAfter := int(24 * time.Hour / m.cfg.Step)
+	deadAfter := int(24 * time.Hour / step)
 	if !m.unreachble && m.farLostRun >= deadAfter {
 		m.unreachble = true
 		alerts = append(alerts, Alert{At: s.At, Target: m.target, Kind: Unreachable})
@@ -156,7 +126,7 @@ func (m *Monitor) Feed(s prober.Sample) []Alert {
 		m.unreachble = false
 	}
 
-	if s.At.Sub(m.lastEval) < m.cfg.EvaluateEvery {
+	if s.At.Sub(m.lastEval) < evaluateEvery {
 		return alerts
 	}
 	m.lastEval = s.At
@@ -171,7 +141,7 @@ func (m *Monitor) evaluate(at simclock.Time) []Alert {
 		return nil
 	}
 	cfg := analysis.DefaultConfig()
-	cfg.ThresholdMs = m.cfg.ThresholdMs
+	cfg.ThresholdMs = thresholdMs
 	// Online variant: the window is short, so diurnal confirmation
 	// needs fewer days than the offline default.
 	cfg.Diurnal.MinDays = 3
@@ -182,7 +152,7 @@ func (m *Monitor) evaluate(at simclock.Time) []Alert {
 	if hot && !m.congested {
 		m.agreeOnset++
 		m.agreeCleared = 0
-		if m.agreeOnset >= m.cfg.ConfirmDays {
+		if m.agreeOnset >= confirmDays {
 			m.congested = true
 			m.agreeOnset = 0
 			alerts = append(alerts, Alert{At: at, Target: m.target, Kind: Onset,
@@ -191,7 +161,7 @@ func (m *Monitor) evaluate(at simclock.Time) []Alert {
 	} else if !hot && m.congested {
 		m.agreeCleared++
 		m.agreeOnset = 0
-		if m.agreeCleared >= m.cfg.ConfirmDays {
+		if m.agreeCleared >= confirmDays {
 			m.congested = false
 			m.agreeCleared = 0
 			alerts = append(alerts, Alert{At: at, Target: m.target, Kind: Cleared})

@@ -12,7 +12,7 @@ import (
 // drive runs a monitor over a case link for an interval, collecting
 // alerts.
 func drive(t *testing.T, w *scenario.World, vpID, caseName string,
-	iv simclock.Interval, cfg Config) []Alert {
+	iv simclock.Interval) []Alert {
 	t.Helper()
 	vp, ok := w.VPByID(vpID)
 	if !ok {
@@ -27,7 +27,7 @@ func drive(t *testing.T, w *scenario.World, vpID, caseName string,
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := New(target, cfg)
+	m := New(target)
 	var alerts []Alert
 	iv.Steps(5*time.Minute, func(tm simclock.Time) {
 		w.AdvanceTo(tm)
@@ -42,7 +42,7 @@ func TestOnsetAlertForNetpage(t *testing.T) {
 		Start: simclock.Date(2016, time.March, 1),
 		End:   simclock.Date(2016, time.March, 21),
 	}
-	alerts := drive(t, w, "VP4", "QCELL-NETPAGE", iv, Config{})
+	alerts := drive(t, w, "VP4", "QCELL-NETPAGE", iv)
 	var onset *Alert
 	for i := range alerts {
 		if alerts[i].Kind == Onset {
@@ -71,7 +71,7 @@ func TestClearedAlertAfterUpgrade(t *testing.T) {
 		Start: simclock.Date(2016, time.April, 7),
 		End:   simclock.Date(2016, time.May, 19),
 	}
-	alerts := drive(t, w, "VP4", "QCELL-NETPAGE", iv, Config{})
+	alerts := drive(t, w, "VP4", "QCELL-NETPAGE", iv)
 	var sawOnset, sawCleared bool
 	var clearedAt simclock.Time
 	for _, a := range alerts {
@@ -104,7 +104,7 @@ func TestUnreachableAlertOnShutdown(t *testing.T) {
 		Start: simclock.Date(2016, time.August, 1),
 		End:   simclock.Date(2016, time.August, 10),
 	}
-	alerts := drive(t, w, "VP1", "GIXA-GHANATEL", iv, Config{})
+	alerts := drive(t, w, "VP1", "GIXA-GHANATEL", iv)
 	var unreach *Alert
 	for i := range alerts {
 		if alerts[i].Kind == Unreachable {
@@ -133,7 +133,7 @@ func TestNoAlertsOnCleanLink(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := New(target, Config{})
+	m := New(target)
 	iv := simclock.Interval{
 		Start: simclock.Date(2016, time.March, 1),
 		End:   simclock.Date(2016, time.March, 15),

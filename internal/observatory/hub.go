@@ -16,7 +16,7 @@ type hubMsg struct {
 // subscriber is one attached /stream consumer. Its channel is bounded:
 // a consumer slower than the barrier cadence loses whole batches —
 // counted in dropped, never blocking the publisher. Memory per
-// subscriber is therefore bounded by SubscriberBuf payload references
+// subscriber is therefore bounded by subscriberBuf payload references
 // regardless of how far behind it falls.
 type subscriber struct {
 	ch      chan hubMsg

@@ -28,40 +28,24 @@ import (
 	"afrixp/internal/simclock"
 )
 
-// Config tunes a Service.
-type Config struct {
-	// Detector tunes the per-link streaming detectors.
-	Detector analysis.StreamConfig
-	// AlertCap bounds the global alert ring (older alerts are dropped;
-	// /alerts reports the truncation point). Default 65536.
-	AlertCap int
-	// LinkAlertCap bounds the per-link recent-alert ring surfaced by
-	// /links/{id}. Default 32.
-	LinkAlertCap int
-	// SubscriberBuf is each SSE subscriber's channel depth; a consumer
-	// slower than the barrier cadence loses batches (counted per
-	// subscriber), never blocks the engine. Default 64.
-	SubscriberBuf int
-	// Thresholds is the sweep used by Finalize. Default the engine's
-	// (5/10/15/20 ms).
-	Thresholds []float64
-}
+// Config is the Service's configuration. It has no fields: the
+// detector tuning and the ring and channel bounds are package
+// constants. It stays so New keeps its signature for callers outside
+// this module.
+type Config struct{}
 
-func (c Config) withDefaults() Config {
-	if c.AlertCap <= 0 {
-		c.AlertCap = 65536
-	}
-	if c.LinkAlertCap <= 0 {
-		c.LinkAlertCap = 32
-	}
-	if c.SubscriberBuf <= 0 {
-		c.SubscriberBuf = 64
-	}
-	if len(c.Thresholds) == 0 {
-		c.Thresholds = []float64{5, 10, 15, 20}
-	}
-	return c
-}
+const (
+	// alertCap bounds the global alert ring (older alerts are dropped;
+	// /alerts reports the truncation point).
+	alertCap = 65536
+	// linkAlertCap bounds the per-link recent-alert ring surfaced by
+	// /links/{id}.
+	linkAlertCap = 32
+	// subscriberBuf is each SSE subscriber's channel depth; a consumer
+	// slower than the barrier cadence loses batches (counted per
+	// subscriber), never blocks the engine.
+	subscriberBuf = 64
+)
 
 // Alert is one timestamped link state transition — the unit of the
 // /alerts log and the /stream events. AtNs is virtual time (ns since
@@ -98,12 +82,10 @@ type linkState struct {
 // Finalize) is allocation-free in the steady state, which the
 // zero-alloc campaign test pins with a service attached.
 type Service struct {
-	cfg Config
-
 	mu      sync.RWMutex
 	links   map[string]*linkState
 	order   []*linkState // sorted by id — the deterministic feed order
-	alerts  []Alert      // global ring, cap cfg.AlertCap
+	alerts  []Alert      // global ring, cap alertCap
 	alertN  uint64       // total alerts ever; Seq of the newest
 	barrier simclock.Time
 	fed     uint64 // total finalized slots fed across links
@@ -117,16 +99,14 @@ type Service struct {
 }
 
 // New builds a service.
-func New(cfg Config) *Service {
-	cfg = cfg.withDefaults()
+func New(Config) *Service {
 	return &Service{
-		cfg:    cfg,
 		links:  make(map[string]*linkState),
-		alerts: make([]Alert, 0, cfg.AlertCap),
+		alerts: make([]Alert, 0, alertCap),
 		near:   make([]float64, 0, 256),
 		far:    make([]float64, 0, 256),
 		pend:   make([]Alert, 0, 64),
-		hub:    newHub(cfg.SubscriberBuf),
+		hub:    newHub(subscriberBuf),
 	}
 }
 
@@ -155,8 +135,8 @@ func (s *Service) Watch(vp string, target prober.LinkTarget, col *analysis.Colle
 		target:   target,
 		asym:     asymmetric,
 		col:      col,
-		det:      analysis.NewStreamDetector(s.cfg.Detector),
-		recent:   make([]Alert, 0, s.cfg.LinkAlertCap),
+		det:      analysis.NewStreamDetector(),
+		recent:   make([]Alert, 0, linkAlertCap),
 	}
 	s.links[id] = ls
 	// Insert keeping s.order sorted by id: the feed (and with it the
@@ -281,23 +261,12 @@ func (s *Service) appendAlert(a Alert) {
 // engine's (the DESIGN.md §16 equivalence). The engine calls it after
 // its own analysis phase, when collectors are sealed.
 func (s *Service) Finalize(thresholds []float64) {
-	if len(thresholds) == 0 {
-		thresholds = s.cfg.Thresholds
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	sw := analysis.NewSweeper()
 	for _, ls := range s.order {
-		verdicts := sw.AnalyzeLinkSweep(ls.col.Series(), analysis.DefaultConfig(), thresholds)
 		ls.verdicts = make(map[float64]analysis.Verdict, len(thresholds))
-		for k, thr := range thresholds {
-			v := verdicts[k]
-			if ls.asym {
-				v.Symmetric = false
-				v.Congested = false
-			}
-			ls.verdicts[thr] = v
-		}
+		sw.SweepInto(ls.verdicts, ls.col.Series(), thresholds, ls.asym)
 	}
 	s.final = true
 }

@@ -58,7 +58,8 @@ func TestThousandConcurrentWatchers(t *testing.T) {
 		nSSE  = 1000
 		nPoll = 200
 	)
-	svc := New(Config{SubscriberBuf: 8})
+	svc := New(Config{})
+	svc.hub = newHub(8)
 	handler := svc.Handler()
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -143,16 +144,17 @@ func TestThousandConcurrentWatchers(t *testing.T) {
 }
 
 // TestHubBoundedSubscriber pins the bounded-broadcast contract
-// directly: a subscriber that never drains holds at most SubscriberBuf
-// payload references, every overflow is counted in its drop counter,
+// directly: a subscriber that never drains holds at most its channel
+// depth in payload references, every overflow is counted in its drop counter,
 // and the publisher is never blocked.
 func TestHubBoundedSubscriber(t *testing.T) {
-	svc := New(Config{SubscriberBuf: 4})
+	svc := New(Config{})
+	svc.hub = newHub(4)
 	sub := svc.hub.subscribe()
 	defer svc.hub.unsubscribe(sub)
 
 	if cap(sub.ch) != 4 {
-		t.Fatalf("subscriber channel cap = %d, want SubscriberBuf 4", cap(sub.ch))
+		t.Fatalf("subscriber channel cap = %d, want 4", cap(sub.ch))
 	}
 	at := simclock.Date(2016, time.July, 20)
 	const barriers = 32

@@ -159,9 +159,6 @@ func NewTelemetry() *Telemetry { return telemetry.New() }
 // batch barriers, a deterministic alert log, and a live HTTP/SSE API.
 type Observatory = observatory.Service
 
-// ObservatoryConfig tunes a streaming observatory.
-type ObservatoryConfig = observatory.Config
-
 // ObservatoryAlert is one timestamped link state transition from the
 // streaming detector's clear → suspected → congested ladder.
 type ObservatoryAlert = observatory.Alert
@@ -169,7 +166,7 @@ type ObservatoryAlert = observatory.Alert
 // NewObservatory builds a streaming observatory ready to attach to a
 // campaign (CampaignConfig.Observatory) and to mount beside /metrics
 // (Telemetry.Serve(addr, svc.Mount)).
-func NewObservatory(cfg ObservatoryConfig) *Observatory { return observatory.New(cfg) }
+func NewObservatory() *Observatory { return observatory.New(observatory.Config{}) }
 
 // Campaign is the result of a full run: per-VP discovery snapshots,
 // per-link verdicts, and case-study series.
@@ -363,9 +360,6 @@ type LevelShiftEvent = levelshift.Event
 // unreachable alerts as they happen.
 type Monitor = monitor.Monitor
 
-// MonitorConfig tunes the online watcher.
-type MonitorConfig = monitor.Config
-
 // Alert is one operator notification from a Monitor.
 type Alert = monitor.Alert
 
@@ -377,12 +371,4 @@ const (
 )
 
 // NewMonitor builds an online watcher for one link.
-func NewMonitor(target LinkTarget, cfg MonitorConfig) *Monitor {
-	return monitor.New(target, cfg)
-}
-
-// Fleet watches every link of one vantage point online.
-type Fleet = monitor.Fleet
-
-// NewFleet builds an empty fleet of link watchers.
-func NewFleet(cfg MonitorConfig) *Fleet { return monitor.NewFleet(cfg) }
+func NewMonitor(target LinkTarget) *Monitor { return monitor.New(target) }
