@@ -287,10 +287,8 @@ func BenchmarkChunkCompression(b *testing.B) {
 	if len(series) == 0 || encoded == 0 {
 		b.Fatal("no chunked series collected")
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
 	sink := 0
-	for i := 0; i < b.N; i++ {
+	sweep := func() {
 		for _, s := range series {
 			s.Each(func(_ int, vals []float64) {
 				for _, v := range vals {
@@ -300,6 +298,15 @@ func BenchmarkChunkCompression(b *testing.B) {
 				}
 			})
 		}
+	}
+	// One untimed sweep first: the decoder's one-off set-up would
+	// otherwise land in the timed region and make bytes/op depend on
+	// b.N.
+	sweep()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sweep()
 	}
 	b.StopTimer()
 	if sink == 0 {
@@ -515,10 +522,14 @@ func BenchmarkAblationNearEndCheck(b *testing.B) {
 
 // BenchmarkScaleCampaign measures the sharded engine across world
 // scales: a one-day campaign on the authored paper world (scale=1)
-// and on 10×/100× generated worlds (4 shards), reporting probing
-// throughput (link_rounds_per_sec), resident series memory per probed
-// link (bytes_per_link — scripts/benchjson warns when a scale>1 row
-// exceeds the scale=1 figure, the sharded memory bound), and the
+// and on 10×/100× generated worlds (4 shards). It reports
+// whole-campaign throughput (link_rounds_per_sec) and its two halves,
+// so a change shows which one moved: the discovery rate
+// (discovery_walks_per_sec, inject walks per discovery-span second)
+// and the probing rate (probe_rounds_per_sec, link-rounds per
+// probe-batch second). It also reports resident series memory per
+// probed link (bytes_per_link — scripts/benchjson warns when a scale>1
+// row exceeds the scale=1 figure, the sharded memory bound) and the
 // process RSS high-water mark (peak_rss_mb; cumulative across the
 // process, so within one run it is monotone in scale order). The 100×
 // point probes a deterministic 48-VP prefix to keep iterations
@@ -537,6 +548,8 @@ func BenchmarkScaleCampaign(b *testing.B) {
 				b.Fatal("scale point probed no links")
 			}
 			b.ReportMetric(p.LinkRoundsPerSec, "link_rounds_per_sec")
+			b.ReportMetric(p.DiscoveryWalksPerSec, "discovery_walks_per_sec")
+			b.ReportMetric(p.ProbeRoundsPerSec, "probe_rounds_per_sec")
 			b.ReportMetric(p.BytesPerLink, "bytes_per_link")
 			b.ReportMetric(p.PeakRSSMB, "peak_rss_mb")
 		})
@@ -544,7 +557,11 @@ func BenchmarkScaleCampaign(b *testing.B) {
 }
 
 // BenchmarkTSLPSamplingThroughput measures raw per-round probing cost
-// — the number that bounds full-year campaign time.
+// — the number that bounds full-year campaign time. One op is a day of
+// 5-minute rounds on one link (ns_per_round reports the per-round
+// figure): a single round takes a few hundred nanoseconds, too little
+// for the one-iteration smoke run to time without the cold caches
+// after ResetTimer dominating it.
 func BenchmarkTSLPSamplingThroughput(b *testing.B) {
 	w := NewWorld(WorldOptions{Seed: 3, Scale: 0.08})
 	vp, _ := w.VPByID("VP4")
@@ -553,8 +570,26 @@ func BenchmarkTSLPSamplingThroughput(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	const roundsPerDay = 24 * 12
+	round := func(j int) {
+		ts.Round(simclock.Time(int64(j%100000) * int64(5*time.Minute)))
+	}
+	// One untimed op first. The first round traces the paths and the
+	// next ones run cold. It also moves the queues' frontier past the
+	// first op's rounds, which then observe already-integrated state,
+	// as nearly every round of a full-benchtime run does once the
+	// time index wraps; timing a cold op advancing fresh queues would
+	// make ns/op depend on b.N.
+	for j := 0; j < roundsPerDay; j++ {
+		round(j)
+	}
+	runtime.GC() // collect the set-up garbage outside the timed region
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ts.Round(simclock.Time(int64(i%100000) * int64(5*time.Minute)))
+		for j := i * roundsPerDay; j < (i+1)*roundsPerDay; j++ {
+			round(j)
+		}
 	}
+	b.StopTimer()
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*roundsPerDay), "ns_per_round")
 }

@@ -27,8 +27,14 @@ type ScalePoint struct {
 	ProbedLinks, Rounds int
 	// WallSecs is the campaign wall time (build + probe + analyze).
 	WallSecs float64
-	// LinkRoundsPerSec is probing throughput: Rounds / WallSecs.
+	// LinkRoundsPerSec is whole-campaign throughput: Rounds / WallSecs.
 	LinkRoundsPerSec float64
+	// DiscoveryWalksPerSec is the discovery rate: packet-level inject
+	// walks per wall second inside the campaign's discovery spans.
+	DiscoveryWalksPerSec float64
+	// ProbeRoundsPerSec is the probing rate: Rounds per wall second
+	// inside the campaign's probe-batch spans.
+	ProbeRoundsPerSec float64
 	// BytesPerLink is resident series memory per probed link: the
 	// shard arenas (shared slabs, counted once each) plus every
 	// collector's private state, divided by ProbedLinks.
@@ -137,6 +143,21 @@ func runScalePoint(scale float64, cfg ScaleSweepConfig) ScalePoint {
 	}
 	if elapsed > 0 {
 		p.LinkRoundsPerSec = float64(p.Rounds) / elapsed
+	}
+	var discovery, batch float64
+	for _, s := range tele.Spans() {
+		switch s.Phase {
+		case "discovery":
+			discovery += s.WallEnd.Sub(s.WallStart).Seconds()
+		case "probe-batch":
+			batch += s.WallEnd.Sub(s.WallStart).Seconds()
+		}
+	}
+	if discovery > 0 {
+		p.DiscoveryWalksPerSec = float64(tele.Snapshot().Probe.InjectWalks) / discovery
+	}
+	if batch > 0 {
+		p.ProbeRoundsPerSec = float64(p.Rounds) / batch
 	}
 	p.BytesPerLink = bytesPerLink(res, tele)
 	p.PeakRSSMB = float64(peakRSSBytes()) / 1e6

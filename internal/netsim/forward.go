@@ -28,12 +28,43 @@ type fibEntry struct {
 	arrival IfaceID
 }
 
-// resolveStep computes the forwarding step node n takes toward dst.
-// ok is false when n has no route (the packet is silently dropped and
-// the probe times out, as on the real Internet).
-func (nw *Network) resolveStep(n *Node, dst netaddr.Addr) (hop, bool) {
+// dstInfo holds what a forwarding step needs to know about a
+// destination that does not depend on the node forwarding it: the
+// interface that owns the address and the AS originating its longest
+// covering prefix. A walk resolves it once per leg — whenever the
+// packet's destination changes — instead of at every hop.
+type dstInfo struct {
+	addr netaddr.Addr
+	// owner carries addr; nil when no interface does.
+	owner *Iface
+	// origin is the BGP origin of addr; routed is false when no
+	// announced prefix covers it.
+	origin asrel.ASN
+	routed bool
+}
+
+// resolveDst looks up dst's owner and BGP origin.
+func (nw *Network) resolveDst(dst netaddr.Addr) dstInfo {
+	di := dstInfo{addr: dst}
+	if id, ok := nw.byAddr[dst]; ok {
+		di.owner = nw.ifaces[id]
+	}
+	di.origin, di.routed = nw.BGP.OriginOf(dst)
+	return di
+}
+
+// ownedBy reports whether one of n's interfaces carries the address.
+func (di *dstInfo) ownedBy(n *Node) bool {
+	return di.owner != nil && di.owner.Node == n.ID
+}
+
+// resolveStep computes the forwarding step node n takes toward the
+// destination di describes. ok is false when n has no route (the
+// packet is silently dropped and the probe times out, as on the real
+// Internet).
+func (nw *Network) resolveStep(n *Node, di *dstInfo) (hop, bool) {
 	// 1. Directly connected subnets and LAN neighbors.
-	if h, ok := nw.connectedStep(n, dst); ok {
+	if h, ok := nw.connectedStep(n, di); ok {
 		return h, true
 	}
 	// 2. Stub hosts forward everything else to their gateway.
@@ -41,12 +72,12 @@ func (nw *Network) resolveStep(n *Node, dst netaddr.Addr) (hop, bool) {
 		return nw.linkStep(nw.ifaces[n.Gateway])
 	}
 	// 3. BGP: where does the destination's origin AS live?
-	origin, ok := nw.BGP.OriginOf(dst)
-	if !ok {
+	if !di.routed {
 		return hop{}, false
 	}
+	origin := di.origin
 	if origin == n.ASN {
-		return nw.intraASStep(n, dst)
+		return nw.intraASStep(n, di)
 	}
 	// 4. Interdomain: consult the (cached) FIB.
 	if n.fibVersion != nw.version || n.fib == nil {
@@ -76,25 +107,26 @@ func (nw *Network) resolveStep(n *Node, dst netaddr.Addr) (hop, bool) {
 // interface names the only link that can match, and n's few LAN ports
 // are checked directly. When both match, the one earlier in n.Ifaces
 // wins.
-func (nw *Network) connectedStep(n *Node, dst netaddr.Addr) (hop, bool) {
+func (nw *Network) connectedStep(n *Node, di *dstInfo) (hop, bool) {
 	var p2p *Iface
-	if id, ok := nw.byAddr[dst]; ok {
-		if l := nw.ifaces[id].link; l != nil {
-			if near := nw.ifaces[l.other(id)]; near.Node == n.ID {
+	if di.owner != nil {
+		if l := di.owner.link; l != nil {
+			if near := nw.ifaces[l.other(di.owner.ID)]; near.Node == n.ID {
 				p2p = near
 			}
 		}
 	}
 	for _, id := range n.lanIfaces {
 		ifc := nw.ifaces[id]
-		if !ifc.lan.Prefix.Contains(dst) {
+		if !ifc.lan.Prefix.Contains(di.addr) {
 			continue
 		}
 		if p2p != nil && p2p.pos < ifc.pos {
 			break
 		}
-		if slot, ok := ifc.lan.byAddr[dst]; ok {
-			return nw.lanStep(ifc, slot)
+		// Only the owner's own attachment puts an address on a LAN.
+		if di.owner != nil && di.owner.lan == ifc.lan {
+			return nw.lanStep(ifc, di.owner.lanSlot)
 		}
 		return hop{}, false // on-LAN address with no owner: dead
 	}
@@ -214,13 +246,13 @@ func (nw *Network) adjacencyVia(ifc *Iface, as asrel.ASN) (hop, bool) {
 	return hop{}, false
 }
 
-// intraASStep routes within n's AS toward the node owning dst.
-func (nw *Network) intraASStep(n *Node, dst netaddr.Addr) (hop, bool) {
-	id, ok := nw.byAddr[dst]
-	if !ok {
+// intraASStep routes within n's AS toward the node owning the
+// destination.
+func (nw *Network) intraASStep(n *Node, di *dstInfo) (hop, bool) {
+	if di.owner == nil {
 		return hop{}, false
 	}
-	target := nw.ifaces[id].Node
+	target := di.owner.Node
 	if target == n.ID {
 		return hop{}, false // local delivery is handled by the caller
 	}

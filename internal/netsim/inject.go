@@ -80,6 +80,8 @@ func (nw *Network) Inject(src *Node, wire []byte, t simclock.Time) (Response, Ou
 func (nw *Network) injectWalk(src *Node, wire []byte, t simclock.Time) (Response, Outcome, error) {
 	cur := src
 	var arrival *Iface
+	var di dstInfo     // the current leg's destination
+	resolved := false  // di describes a decoded wire
 	originated := true // the current node created the current wire
 	slot := -1         // injWire slot backing wire; -1 = caller's buffer
 
@@ -97,8 +99,12 @@ func (nw *Network) injectWalk(src *Node, wire []byte, t simclock.Time) (Response
 		if err != nil {
 			return Response{}, Unreachable, fmt.Errorf("netsim: hop %d at %s: %w", hops, cur.Name, err)
 		}
+		// A new leg starts when a reply or error is generated.
+		if !resolved || ip.Dst != di.addr {
+			di, resolved = nw.resolveDst(ip.Dst), true
+		}
 
-		if nw.ownsAddr(cur, ip.Dst) {
+		if di.ownedBy(cur) {
 			icmp, err := packet.DecodeICMP(payload)
 			if err != nil {
 				return Response{}, Unreachable, fmt.Errorf("netsim: non-ICMP payload at %s: %w", cur.Name, err)
@@ -172,7 +178,7 @@ func (nw *Network) injectWalk(src *Node, wire []byte, t simclock.Time) (Response
 			ip.TTL--
 		}
 
-		h, ok := nw.resolveStep(cur, ip.Dst)
+		h, ok := nw.resolveStep(cur, &di)
 		if !ok {
 			return Response{}, Unreachable, nil
 		}
@@ -204,12 +210,6 @@ func (nw *Network) injectWalk(src *Node, wire []byte, t simclock.Time) (Response
 		originated = false
 	}
 	return Response{}, Unreachable, fmt.Errorf("netsim: walk exceeded %d hops (loop?)", maxWalkHops)
-}
-
-// ownsAddr reports whether any of n's interfaces carries addr.
-func (nw *Network) ownsAddr(n *Node, addr netaddr.Addr) bool {
-	id, ok := nw.byAddr[addr]
-	return ok && nw.ifaces[id].Node == n.ID
 }
 
 // SrcAddr returns the address probes from this node should use: the

@@ -113,7 +113,6 @@ type Link struct {
 type LAN struct {
 	Prefix      netaddr.Prefix
 	Attachments []Attachment
-	byAddr      map[netaddr.Addr]int
 }
 
 // Attachment is one member port on a LAN.
@@ -292,7 +291,7 @@ func (nw *Network) ConnectLink(a, b *Node, spec LinkSpec) *Link {
 
 // AddLAN creates an empty switched fabric over prefix.
 func (nw *Network) AddLAN(prefix netaddr.Prefix) *LAN {
-	lan := &LAN{Prefix: prefix, byAddr: make(map[netaddr.Addr]int)}
+	lan := &LAN{Prefix: prefix}
 	nw.lans = append(nw.lans, lan)
 	nw.bump()
 	return lan
@@ -329,7 +328,6 @@ func (nw *Network) AttachToLAN(n *Node, lan *LAN, spec AttachSpec) *Iface {
 	ifc.lan = lan
 	ifc.lanSlot = len(lan.Attachments)
 	lan.Attachments = append(lan.Attachments, Attachment{Iface: ifc.ID, ToFabric: to, FromFabric: from})
-	lan.byAddr[spec.Addr] = ifc.lanSlot
 	n.lanIfaces = append(n.lanIfaces, ifc.ID)
 	nw.bump()
 	return ifc

@@ -43,9 +43,10 @@ func (nw *Network) TracePath(src *Node, dst netaddr.Addr, ttl int) (*ProbePath, 
 	cur := src
 	var arrival *Iface
 	remaining := ttl
+	di := nw.resolveDst(dst)
 
 	for hops := 0; hops < maxWalkHops; hops++ {
-		if cur != src && nw.ownsAddr(cur, dst) {
+		if cur != src && di.ownedBy(cur) {
 			pp.Responder = cur
 			pp.RespAddr = dst
 			break
@@ -59,7 +60,7 @@ func (nw *Network) TracePath(src *Node, dst netaddr.Addr, ttl int) (*ProbePath, 
 			}
 			remaining--
 		}
-		h, ok := nw.resolveStep(cur, dst)
+		h, ok := nw.resolveStep(cur, &di)
 		if !ok {
 			return nil, fmt.Errorf("netsim: no route from %s toward %v", cur.Name, dst)
 		}
@@ -75,12 +76,13 @@ func (nw *Network) TracePath(src *Node, dst netaddr.Addr, ttl int) (*ProbePath, 
 	// Reverse path: route the response from the responder back to the
 	// prober's source address.
 	back := nw.SrcAddr(src)
+	di = nw.resolveDst(back)
 	cur = pp.Responder
 	for hops := 0; hops < maxWalkHops; hops++ {
-		if nw.ownsAddr(cur, back) {
+		if di.ownedBy(cur) {
 			return pp, nil
 		}
-		h, ok := nw.resolveStep(cur, back)
+		h, ok := nw.resolveStep(cur, &di)
 		if !ok {
 			return nil, fmt.Errorf("netsim: no return route from %s toward %v", cur.Name, back)
 		}

@@ -73,7 +73,11 @@ type Config struct {
 	// Step is the integration granularity; defaults to 30 s, fine
 	// enough for 5-minute TSLP sampling.
 	Step simclock.Duration
-	// Start positions the queue's internal clock.
+	// Start positions the queue's internal clock. The first
+	// observation integrates the load from Start at Step granularity,
+	// so a queue built with Start 0 (Epoch) and first observed months
+	// later pays that whole catch-up then, and the first LossAt
+	// returns the drop fraction averaged over it.
 	Start simclock.Time
 	// PacketBits, when positive, adds an M/M/1-style mean queueing
 	// delay ρ/(1−ρ)·PacketBits/Capacity below saturation (capped so

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"afrixp/internal/simclock"
+	"afrixp/internal/trafficmodel"
 )
 
 func constLoad(bps float64) func(simclock.Time) float64 {
@@ -296,3 +297,22 @@ func BenchmarkFluidAdvanceYear(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkFluidWarmup is the catch-up a planted member port pays on
+// its first observation in a continent campaign: a queue shaped like
+// the generated worlds' (a 1 Gbps port, a diurnal load with weekend
+// modulation, day jitter and minute noise, 12000-bit packets) built
+// from Start 0 at the default 30 s step and first observed at the
+// campaign start, 2016-07-20, integrating about 149 days.
+func BenchmarkFluidWarmup(b *testing.B) {
+	d := trafficmodel.Diurnal{BaseBps: 0.5e9, PeakBps: 1.2e9, PeakHour: 15, Width: 2.5,
+		WeekendFactor: 0.7, DayJitterFrac: 0.1, NoiseFrac: 0.06, Seed: 0x9D}
+	at := simclock.Date(2016, time.July, 20)
+	for i := 0; i < b.N; i++ {
+		q := NewFluid(Config{CapacityBps: 1e9, BufferDrain: 25 * time.Millisecond,
+			Load: d.Load(), PacketBits: 12000})
+		delaySink = q.DelayAt(at)
+	}
+}
+
+var delaySink simclock.Duration

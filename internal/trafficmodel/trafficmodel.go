@@ -12,6 +12,7 @@ package trafficmodel
 
 import (
 	"math"
+	"sync"
 	"time"
 
 	"afrixp/internal/simclock"
@@ -57,16 +58,28 @@ type Diurnal struct {
 	Seed uint64
 }
 
-// Bps implements the Load signature.
+// Bps implements the Load signature. It is the reference the tabulated
+// Load must reproduce bit for bit.
 func (d Diurnal) Bps(t simclock.Time) float64 {
-	h := t.HourOfDay()
+	return d.scale(t, d.shape(t.HourOfDay()))
+}
+
+// shape is the waveform's relative height at hour h: 1 at the peak,
+// falling off as a Gaussian of the wrapped distance to PeakHour.
+func (d Diurnal) shape(h float64) float64 {
 	// Wrapped distance to the peak hour in [-12, 12).
 	dist := math.Mod(h-d.PeakHour+36, 24) - 12
 	w := d.Width
 	if w <= 0 {
 		w = 3
 	}
-	shape := math.Exp(-dist * dist / (2 * w * w))
+	return math.Exp(-dist * dist / (2 * w * w))
+}
+
+// scale turns the shape at t into bits per second: the day's
+// amplitude (weekend factor, day jitter) over the floor, then the
+// per-minute noise.
+func (d Diurnal) scale(t simclock.Time, shape float64) float64 {
 	amp := d.PeakBps - d.BaseBps
 	if t.IsWeekend() {
 		f := d.WeekendFactor
@@ -91,8 +104,38 @@ func (d Diurnal) Bps(t simclock.Time) float64 {
 	return v
 }
 
-// Load adapts the Diurnal to the Load type.
-func (d Diurnal) Load() Load { return d.Bps }
+// gridSec is the fluid queue's default integration step in seconds;
+// the tabulated Load serves the shape of every instant whose
+// second-of-day is a multiple of it.
+const gridSec = 30
+
+// Load adapts the Diurnal to the Load type. Fluid queues call it at
+// every 30 s integration step, and the Gaussian shape is most of that
+// cost, so the returned load reads the shape from a table over the
+// 2880 grid seconds of a day. The shape depends on t only through
+// HourOfDay, which is float64(SecondOfDay())/3600: an entry built from
+// the same integer second by the same shape is the direct value bit
+// for bit. Other instants take the direct path. The table is built on
+// first use, once, even under concurrent frozen observers, so building
+// a world costs nothing extra.
+func (d Diurnal) Load() Load {
+	var once sync.Once
+	var table *[86400 / gridSec]float64
+	build := func() {
+		table = new([86400 / gridSec]float64)
+		for i := range table {
+			table[i] = d.shape(float64(i*gridSec) / 3600)
+		}
+	}
+	return func(t simclock.Time) float64 {
+		sec := t.SecondOfDay()
+		if sec%gridSec != 0 {
+			return d.Bps(t)
+		}
+		once.Do(build)
+		return d.scale(t, table[sec/gridSec])
+	}
+}
 
 // Sum superimposes several load processes.
 func Sum(loads ...Load) Load {

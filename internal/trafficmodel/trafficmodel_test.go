@@ -2,6 +2,8 @@ package trafficmodel
 
 import (
 	"math"
+	"math/rand"
+	"sync"
 	"testing"
 	"time"
 
@@ -199,17 +201,115 @@ func TestHashUnitDistribution(t *testing.T) {
 	}
 }
 
+// TestLoadMatchesBps checks the tabulated load against Bps bit for
+// bit, on random instants within two years either side of Epoch (so
+// before it too), on and off the 30 s grid, across weekdays and
+// weekends, for waveforms with the default width, peaks at the day's
+// edges and in the generated worlds' range, and jitter and noise each
+// on and off.
+func TestLoadMatchesBps(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	var ds []Diurnal
+	for _, peak := range []float64{0, 11, 13.37, 15, 19, 23.99} {
+		for _, width := range []float64{-1, 0, 1.8, 3.2} {
+			for _, jitter := range []float64{0, 0.1} {
+				for _, noise := range []float64{0, 0.06} {
+					ds = append(ds, Diurnal{
+						BaseBps: 0.4e9 * rng.Float64(), PeakBps: 1.2e9 * (1 + rng.Float64()),
+						PeakHour: peak, Width: width, WeekendFactor: rng.Float64(),
+						DayJitterFrac: jitter, NoiseFrac: noise, Seed: rng.Uint64(),
+					})
+				}
+			}
+		}
+	}
+	const span = int64(2 * 366 * 24 * time.Hour)
+	var weekend, weekday, grid, offGrid, negative int
+	for _, d := range ds {
+		load := d.Load()
+		for i := 0; i < 4000; i++ {
+			tm := simclock.Time(rng.Int63n(2*span) - span)
+			switch i % 4 {
+			case 0: // on the grid
+				tm = tm.Truncate(gridSec * time.Second)
+			case 1: // a whole second off the grid
+				tm = tm.Truncate(time.Second)
+			case 2: // inside a grid second
+				tm = tm.Truncate(gridSec*time.Second) + simclock.Time(rng.Int63n(int64(time.Second)))
+			}
+			if got, want := load(tm), d.Bps(tm); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%+v at %v (%d): Load %v, Bps %v", d, tm, tm, got, want)
+			}
+			if tm.IsWeekend() {
+				weekend++
+			} else {
+				weekday++
+			}
+			if tm.SecondOfDay()%gridSec == 0 {
+				grid++
+			} else {
+				offGrid++
+			}
+			if tm < 0 {
+				negative++
+			}
+		}
+	}
+	if weekend == 0 || weekday == 0 || grid == 0 || offGrid == 0 || negative == 0 {
+		t.Fatalf("sample misses a class: weekend %d weekday %d grid %d off-grid %d negative %d",
+			weekend, weekday, grid, offGrid, negative)
+	}
+}
+
+// TestLoadConcurrentFirstUse races many goroutines on a fresh load's
+// first calls: the lazily built table must be built once and read
+// whole (run under -race).
+func TestLoadConcurrentFirstUse(t *testing.T) {
+	d := Diurnal{BaseBps: 0.3e9, PeakBps: 1.05e9, PeakHour: 15, Width: 2.5,
+		WeekendFactor: 0.7, DayJitterFrac: 0.1, NoiseFrac: 0.06, Seed: 0x9D}
+	load := d.Load()
+	start := simclock.Date(2016, time.July, 20)
+	var wg sync.WaitGroup
+	errs := make(chan simclock.Time, 8)
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := g; i < 2880; i += 8 {
+				tm := start.Add(time.Duration(i) * gridSec * time.Second)
+				if math.Float64bits(load(tm)) != math.Float64bits(d.Bps(tm)) {
+					errs <- tm
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for tm := range errs {
+		t.Fatalf("Load differs from Bps at %v", tm)
+	}
+}
+
 // BenchmarkDiurnalBps evaluates a member-port load shaped like the
 // generated worlds' (weekend modulation, day jitter and minute noise
-// all on) at the fluid queue's one-minute integration steps, walking
-// a week from the continent campaign's first day.
+// all on) on the fluid queue's default 30 s integration grid, walking
+// a week from the continent campaign's first day: through Load, the
+// path queues call, and through Bps, the direct reference.
 func BenchmarkDiurnalBps(b *testing.B) {
 	d := Diurnal{BaseBps: 0.3e9, PeakBps: 1.05e9, PeakHour: 15, Width: 2.5,
 		WeekendFactor: 0.7, DayJitterFrac: 0.1, NoiseFrac: 0.06, Seed: 0x9D}
 	start := simclock.Date(2016, time.July, 20)
-	const week = 7 * 24 * 60
-	for i := 0; i < b.N; i++ {
-		bpsSink = d.Bps(start.Add(time.Duration(i%week) * time.Minute))
+	const week = 7 * 24 * 3600 / gridSec
+	for _, bc := range []struct {
+		name string
+		load Load
+	}{{"load", d.Load()}, {"bps", d.Bps}} {
+		b.Run(bc.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				bpsSink = bc.load(start.Add(time.Duration(i%week) * gridSec * time.Second))
+			}
+		})
 	}
 }
 

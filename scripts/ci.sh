@@ -229,12 +229,13 @@ SMOKE="$(mktemp)"
 trap 'rm -f "$SMOKE"' EXIT
 go test -run '^$' -bench . -benchtime 1x . | tee "$SMOKE"
 # Per-layer micro-benchmarks: the discovery kernels (route
-# computation, connected-subnet lookup, diurnal load) on the generated
-# worlds, and the analysis kernels (rank-CUSUM segmenting, the diurnal
-# fold) on fixed inputs; smoke them too. The ledger does not track
-# them, so they stay out of the guard below.
+# computation, connected-subnet lookup, diurnal load, a planted port's
+# first-observation catch-up) on the generated worlds, and the analysis
+# kernels (rank-CUSUM segmenting, the diurnal fold) on fixed inputs;
+# smoke them too. The ledger does not track them, so they stay out of
+# the guard below.
 go test -run '^$' -bench . -benchtime 1x ./internal/bgpsim ./internal/netsim ./internal/trafficmodel \
-  ./internal/cusum ./internal/diurnal
+  ./internal/queue ./internal/cusum ./internal/diurnal
 
 echo "== bench regression guard (warn-only) =="
 # Single-iteration timings are noisy, so a regression here warns but
